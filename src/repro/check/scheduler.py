@@ -45,7 +45,7 @@ from repro.verify import audit_step
 #: entry-point visibility obligation is deliberately *not* in here: it is
 #: an obligation only of protocols that claim implicit reference cover,
 #: so the explorer adds it per protocol (see repro.check.differential).
-DEFAULT_STEP_RULES = ("compatibility", "waiting-consistency")
+DEFAULT_STEP_RULES = ("compatibility", "waiting-consistency", "deadlock-verdict")
 
 
 class _Slot:
@@ -221,7 +221,7 @@ class ScheduleRun:
                     slot.pending_steps.pop(0)
                     continue
                 slot.waiting_request = request
-                self._resolve_deadlocks()
+                self._resolve_deadlocks(txn)
                 if slot.outcome is not None:
                     return  # this transaction was the victim
                 request = slot.waiting_request
@@ -261,10 +261,10 @@ class ScheduleRun:
                 _normalize_demand(demand) for demand in op.demands(self, txn)
             ]
 
-    def _resolve_deadlocks(self):
+    def _resolve_deadlocks(self, waiter):
         """Break every waits-for cycle the blocking step just closed."""
         while True:
-            cycle = self.manager.detect_deadlock()
+            cycle = self.manager.detect_deadlock(waiter)
             if cycle is None:
                 return
             victim = self.manager.detector.pick_victim(cycle)

@@ -40,6 +40,16 @@ from typing import Dict, List, Optional, Tuple
 from repro.errors import CheckError
 from repro.locking.trace import LockTrace
 
+#: Lock-wait timeout the scripts are served with.  Every script but
+#: ``deadlock`` is sequential — one op awaited at a time — so a demand that
+#: parks (``partlib`` and ``from-the-side`` each have one on purpose) can
+#: only time out: nobody acts while it is awaited.  The fingerprint carries
+#: the ``ERR TIMEOUT`` text, not how long it took, so the wait is kept
+#: short.  The ``deadlock`` script's parked demands are ended by the
+#: detector (at the next nudge, milliseconds) and must not time out first.
+SCRIPT_LOCK_TIMEOUT = 0.05
+DEADLOCK_SCRIPT_LOCK_TIMEOUT = 0.5
+
 #: Every wire mode the differential compares, in report order.
 WIRE_MODES = ("text", "binary", "pipelined", "workers")
 
@@ -302,7 +312,11 @@ async def _run_script(script: str, mode: str, shards: int = 4) -> tuple:
         "127.0.0.1",
         0,
         detector_interval=0.05,
-        lock_timeout=10.0,
+        lock_timeout=(
+            DEADLOCK_SCRIPT_LOCK_TIMEOUT
+            if script == "deadlock"
+            else SCRIPT_LOCK_TIMEOUT
+        ),
     )
     await server.start()
     trace = LockTrace.attach(stack.manager)

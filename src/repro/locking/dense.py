@@ -138,7 +138,7 @@ class DenseLockTable(LockTable):
 
     def _retire_entry(self, resource, entry: _ResourceEntry):
         if self.pool_records and len(self._entry_pool) < _POOL_MAX:
-            entry.edges_cache = None
+            entry.waits_cache = None
             self._entry_pool.append(entry)
 
     def _new_held(self) -> _HeldLock:

@@ -18,10 +18,17 @@ Counting conventions (used by the benchmarks):
 from __future__ import annotations
 
 from collections import OrderedDict, deque
-from typing import Deque, Dict, Iterable, List, Optional, Set, Tuple
+from typing import Deque, Dict, Iterable, List, Optional, Sequence, Set, Tuple
 
 from repro.errors import LockConflictError, LockError
-from repro.locking.modes import LockMode, compatible, covers, supremum
+from repro.locking.modes import (
+    COMPAT_FLAT,
+    N_MODES,
+    LockMode,
+    compatible,
+    covers,
+    supremum,
+)
 
 
 class RequestStatus:
@@ -111,7 +118,7 @@ class _HeldLock:
 
 
 class _ResourceEntry:
-    __slots__ = ("granted", "conversions", "queue", "version", "edges_cache")
+    __slots__ = ("granted", "conversions", "queue", "version", "waits_cache")
 
     def __init__(self):
         # txn -> _HeldLock, in grant order (OrderedDict for determinism)
@@ -119,13 +126,21 @@ class _ResourceEntry:
         # conversion requests take priority over new requests
         self.conversions: Deque[LockRequest] = deque()
         self.queue: Deque[LockRequest] = deque()
-        #: bumped on every grant/queue/mode change; keys ``edges_cache``
+        #: bumped on every grant/queue/mode change; keys ``waits_cache``
         self.version = 0
-        #: (version, waits-for edges of this entry) memo
-        self.edges_cache: Optional[Tuple[int, List[Tuple[object, object]]]] = None
+        #: (version, waits-for edges of this entry, the same edges grouped
+        #: as waiting request -> blockers) memo; see LockTable._entry_waits
+        self.waits_cache: Optional[
+            Tuple[int, Sequence[Tuple[object, object]], Dict[LockRequest, List[object]]]
+        ] = None
 
     def empty(self) -> bool:
         return not (self.granted or self.conversions or self.queue)
+
+
+#: the ``request -> blockers`` view of an entry nobody waits on (shared,
+#: never written)
+_NO_BLOCKERS: Dict[LockRequest, List[object]] = {}
 
 
 class LockTable:
@@ -520,34 +535,66 @@ class LockTable:
         """
         edges = []
         for entry in self._entries.values():
-            edges.extend(self._entry_edges(entry))
+            edges.extend(self._entry_waits(entry)[1])
         return edges
 
-    def _entry_edges(self, entry: _ResourceEntry) -> List[Tuple[object, object]]:
-        cached = entry.edges_cache
+    def blockers_of(self, txn) -> List[object]:
+        """The transactions ``txn`` waits for: ``dst`` of every edge
+        ``(txn, dst)`` of :meth:`waits_for_edges`, in the same order.
+
+        Costs one probe of the per-transaction waiting index plus the memo
+        of the entries ``txn`` waits on — never a walk over the table,
+        which is what lets deadlock detection start from one waiter.
+        """
+        blockers: List[object] = []
+        for request in self._txn_waiting.get(txn, ()):
+            entry = self._entries[request.resource]
+            blockers.extend(self._entry_waits(entry)[2][request])
+        return blockers
+
+    def _entry_waits(self, entry: _ResourceEntry):
+        """``(version, edges, request -> blockers)`` of one entry, memoized
+        on the entry version.  Both views are built in one pass, so the
+        whole-graph reader and the per-waiter reader share one memo and
+        one invalidation rule."""
+        cached = entry.waits_cache
         if cached is not None and cached[0] == entry.version:
-            return cached[1]
+            return cached
+        if not (entry.conversions or entry.queue):
+            # most entries of a table: holders only, nobody waiting
+            cached = entry.waits_cache = (entry.version, (), _NO_BLOCKERS)
+            return cached
         edges: List[Tuple[object, object]] = []
+        blockers: Dict[LockRequest, List[object]] = {}
+        compat = COMPAT_FLAT
+        # (txn, row offset of its mode in the flat compatibility table)
+        holders = [(txn, held.code * N_MODES) for txn, held in entry.granted.items()]
+        ahead = []
         for request in entry.conversions:
-            for txn, held in entry.granted.items():
-                if txn == request.txn:
-                    continue
-                if not compatible(held.mode, request.target_mode):
-                    edges.append((request.txn, txn))
-        ahead: List[LockRequest] = []
+            waiter = request.txn
+            code = request.target_mode.code
+            mine = [
+                txn
+                for txn, row in holders
+                if not compat[row + code] and txn != waiter
+            ]
+            blockers[request] = mine
+            edges.extend([(waiter, txn) for txn in mine])
+            ahead.append((waiter, code * N_MODES))
         for request in entry.queue:
-            for txn, held in entry.granted.items():
-                if not compatible(held.mode, request.target_mode):
-                    edges.append((request.txn, txn))
-            for conv in entry.conversions:
-                if not compatible(conv.target_mode, request.target_mode):
-                    edges.append((request.txn, conv.txn))
-            for earlier in ahead:
-                if not compatible(earlier.target_mode, request.target_mode):
-                    edges.append((request.txn, earlier.txn))
-            ahead.append(request)
-        entry.edges_cache = (entry.version, edges)
-        return edges
+            waiter = request.txn
+            code = request.target_mode.code
+            mine = [
+                txn
+                for waiting_for in (holders, ahead)
+                for txn, row in waiting_for
+                if not compat[row + code]
+            ]
+            blockers[request] = mine
+            edges.extend([(waiter, txn) for txn in mine])
+            ahead.append((waiter, code * N_MODES))
+        cached = entry.waits_cache = (entry.version, edges, blockers)
+        return cached
 
     # -- internals -------------------------------------------------------------
 

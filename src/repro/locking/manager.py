@@ -137,20 +137,26 @@ class LockManager:
 
     # -- deadlock handling ------------------------------------------------------
 
-    def detect_deadlock(self) -> Optional[List[object]]:
-        """One detection pass; returns a cycle or None."""
-        return self.detector.check()
+    def detect_deadlock(self, waiter=None) -> Optional[List[object]]:
+        """One detection pass; returns a cycle or None.
 
-    def resolve_deadlocks(self, abort_callback) -> List[object]:
+        Pass the transaction whose request was just enqueued as ``waiter``
+        when checking on every wait: detection then starts from it instead
+        of walking the table (see :class:`DeadlockDetector`).
+        """
+        return self.detector.check(waiter)
+
+    def resolve_deadlocks(self, abort_callback, waiter=None) -> List[object]:
         """Detect and break every deadlock; returns aborted victims.
 
         ``abort_callback(victim)`` must release the victim's locks (usually
         by aborting the transaction).  Loops until no cycle remains —
-        breaking one cycle can expose another.
+        breaking one cycle can expose another.  ``waiter``: as for
+        :meth:`detect_deadlock`.
         """
         victims = []
         while True:
-            cycle = self.detector.check()
+            cycle = self.detector.check(waiter)
             if cycle is None:
                 return victims
             victim = self.detector.pick_victim(cycle)
@@ -178,7 +184,7 @@ class LockManager:
         self.table.conflict_tests = 0
         self.table.max_entries = 0
         self.table.summary_rebuilds = 0
-        self.detector.deadlocks_found = 0
+        self.detector.reset_metrics()
 
 
 class ThreadedLockManager:
@@ -254,7 +260,7 @@ class ThreadedLockManager:
         cancel and each round removes edges — the loop terminates.
         """
         while True:
-            cycle = self._manager.detect_deadlock()
+            cycle = self._manager.detect_deadlock(txn)
             if cycle is None:
                 return
             victim = self._manager.detector.pick_victim(cycle)

@@ -376,6 +376,8 @@ class LockServer:
         #: wire (the schema tree at start, plus OP_INTERN additions)
         self._rid_resources: Dict[int, tuple] = {}
         self._wire_ids = ResourceInterner()
+        #: see :meth:`_resource_index`
+        self._resource_index_memo: Optional[tuple] = None
         manager.on_wake = self._on_wake
 
     @property
@@ -1299,25 +1301,45 @@ class LockServer:
             return None, "ERR UNKNOWN-RESOURCE %s" % path
         if len(parts) == 1:
             return parts, None
-        relations = database.relations()
-        if parts[1] not in {rel.segment for rel in relations}:
+        _, segments, relations, keys = self._resource_index()
+        if parts[1] not in segments:
             return None, "ERR UNKNOWN-RESOURCE %s" % path
         if len(parts) == 2:
             return parts, None
-        matching = [
-            rel
-            for rel in relations
-            if rel.name == parts[2] and rel.segment == parts[1]
-        ]
-        if not matching:
+        relation = relations.get(parts[1:3])
+        if relation is None:
             return None, "ERR UNKNOWN-RESOURCE %s" % path
         if len(parts) == 3:
             return parts, None
         # object level: the key as it appears in resource tuples (str);
         # deeper component parts ride on a valid object prefix
-        if parts[3] not in {str(obj.key) for obj in matching[0]}:
+        known = keys.get(parts[1:3])
+        if known is None:
+            known = keys[parts[1:3]] = {str(obj.key) for obj in relation}
+        if parts[3] not in known:
             return None, "ERR UNKNOWN-RESOURCE %s" % path
         return parts, None
+
+    def _resource_index(self):
+        """``(stamp, segment names, (segment, relation name) -> relation,
+        (segment, relation name) -> object keys as path components)``.
+
+        Rebuilt when ``database.structure_version`` moves (any insert,
+        delete or relation creation), so a text frame resolves against
+        dict probes instead of rescanning the addressed relation; key
+        sets fill per relation on first use.
+        """
+        database = self.stack.database
+        index = self._resource_index_memo
+        if index is None or index[0] != database.structure_version:
+            relations = database.relations()
+            index = self._resource_index_memo = (
+                database.structure_version,
+                {rel.segment for rel in relations},
+                {(rel.segment, rel.name): rel for rel in relations},
+                {},
+            )
+        return index
 
     def _stats_frame(self) -> str:
         payload = dict(self.manager.metrics())

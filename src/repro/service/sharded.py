@@ -165,6 +165,14 @@ class _AggregateTable:
             edges.extend(shard.waits_for_edges())
         return edges
 
+    def blockers_of(self, txn) -> List[object]:
+        """Whom ``txn`` waits for, across shards (shard-index order); each
+        shard answers from its waiting index and per-entry memo."""
+        blockers: List[object] = []
+        for shard in self._shards:
+            blockers.extend(shard.blockers_of(txn))
+        return blockers
+
     # -- summed counters ------------------------------------------------------
 
     @property
@@ -490,13 +498,13 @@ class ShardedLockManager:
 
     # -- deadlock handling ----------------------------------------------------
 
-    def detect_deadlock(self) -> Optional[List[object]]:
-        return self.detector.check()
+    def detect_deadlock(self, waiter=None) -> Optional[List[object]]:
+        return self.detector.check(waiter)
 
-    def resolve_deadlocks(self, abort_callback) -> List[object]:
+    def resolve_deadlocks(self, abort_callback, waiter=None) -> List[object]:
         victims = []
         while True:
-            cycle = self.detector.check()
+            cycle = self.detector.check(waiter)
             if cycle is None:
                 return victims
             victim = self.detector.pick_victim(cycle)
@@ -525,4 +533,4 @@ class ShardedLockManager:
             shard.conflict_tests = 0
             shard.max_entries = 0
             shard.summary_rebuilds = 0
-        self.detector.deadlocks_found = 0
+        self.detector.reset_metrics()

@@ -848,7 +848,7 @@ class WorkerProxyManager:
         with self._mutex:
             for worker in range(self.n_workers):
                 self._call(worker, ("reset",))
-            self.detector.deadlocks_found = 0
+            self.detector.reset_metrics()
 
     def stop(self):
         self.pool.stop()

@@ -358,7 +358,7 @@ class Simulator:
         run.waiting_request = request
         run.wait_started_at = self.events.now
         if self.deadlock_policy == "detect":
-            self._check_deadlock()
+            self._check_deadlock(run.txn)
         elif self.deadlock_policy == "wait_die":
             self._wait_die(run)
         else:
@@ -414,17 +414,17 @@ class Simulator:
     # -- deadlock handling ----------------------------------------------------------
 
     def _blockers_of(self, run: _TxnRun):
-        """Every transaction the waiter transitively depends on right now.
+        """Every transaction the waiter directly depends on right now,
+        oldest first.
 
-        Uses the lock table's waits-for edges (incompatible holders AND
-        incompatible requests queued ahead — FIFO makes those real
-        blockers), so the prevention policies see exactly the graph the
-        detector would."""
+        Uses the lock table's waits-for edges of this one waiter
+        (incompatible holders AND incompatible requests queued ahead —
+        FIFO makes those real blockers), so the prevention policies see
+        exactly the graph the detector would."""
         if run.waiting_request is None:
             return []
-        edges = self.manager.table.waits_for_edges()
         return sorted(
-            {dst for src, dst in edges if src is run.txn},
+            set(self.manager.table.blockers_of(run.txn)),
             key=lambda txn: getattr(txn, "start_ts", 0),
         )
 
@@ -447,9 +447,9 @@ class Simulator:
                 if victim is not None:
                     self._abort(victim)
 
-    def _check_deadlock(self):
+    def _check_deadlock(self, waiter):
         while True:
-            cycle = self.manager.detect_deadlock()
+            cycle = self.manager.detect_deadlock(waiter)
             if cycle is None:
                 return
             self.metrics.deadlocks += 1

@@ -16,7 +16,10 @@ every violation of the invariants the paper's correctness rests on:
    (no lost wakeups);
 5. **dense-state consistency** — when the manager runs the dense-ID fast
    path, the interner must stay bijective and the int-keyed held-mode
-   summary must mirror the authoritative object-keyed one exactly.
+   summary must mirror the authoritative object-keyed one exactly;
+6. **deadlock verdict** — while the wait graph has not moved since the
+   detector last answered "acyclic" (possibly from a search rooted at one
+   waiter), the reference full pass must find no cycle either.
 
 The auditor is intentionally protocol-agnostic: run it against a baseline
 (e.g. ``NaiveDAGUnsafeProtocol``) and it *finds* the paper's problem —
@@ -33,6 +36,7 @@ from repro.graphs.units import (
     object_resource,
     relation_resource,
 )
+from repro.locking.deadlock import find_cycle
 from repro.locking.modes import S, SIX, X, compatible, covers, intention_of
 from repro.nf2.refindex import reference_resource_parts
 from repro.nf2.values import collect_references
@@ -66,6 +70,7 @@ def audit(protocol) -> List[Violation]:
     violations.extend(check_entry_point_visibility(protocol))
     violations.extend(check_waiting_consistency(protocol.manager))
     violations.extend(check_dense_state(protocol.manager))
+    violations.extend(check_deadlock_verdict(protocol.manager))
     violations.extend(check_indexes(protocol.catalog.database))
     violations.extend(
         check_reference_index(protocol.catalog.database, protocol.catalog)
@@ -84,6 +89,9 @@ STEP_CHECKS = {
         protocol.manager
     ),
     "dense-state": lambda protocol: check_dense_state(protocol.manager),
+    "deadlock-verdict": lambda protocol: check_deadlock_verdict(
+        protocol.manager
+    ),
     "index-consistency": lambda protocol: check_indexes(
         protocol.catalog.database
     ),
@@ -392,3 +400,27 @@ def check_waiting_consistency(manager) -> List[Violation]:
                     )
                 )
     return out
+
+
+def check_deadlock_verdict(manager) -> List[Violation]:
+    """A standing "acyclic" verdict must survive the reference full pass.
+
+    On-wait detection answers most checks from a search rooted at the new
+    waiter (:class:`repro.locking.deadlock.DeadlockDetector`); a wrong
+    ``None`` there is an undetected deadlock.  Whenever the detector's last
+    verdict is "acyclic" and the wait graph has not moved since, this
+    re-derives the answer from the complete edge list.
+    """
+    if not manager.detector.acyclic_verdict_stands():
+        return []
+    cycle = find_cycle(manager.table.waits_for_edges())
+    if cycle is None:
+        return []
+    return [
+        Violation(
+            "deadlock-verdict",
+            None,
+            None,
+            "detector answered acyclic but the full pass finds %r" % (cycle,),
+        )
+    ]

@@ -10,6 +10,7 @@ from repro.protocol import HerrmannProtocol, NaiveDAGUnsafeProtocol
 from repro.verify import (
     audit,
     check_compatibility,
+    check_deadlock_verdict,
     check_entry_point_visibility,
     check_intention_chains,
     check_waiting_consistency,
@@ -114,6 +115,28 @@ class TestBrokenStates:
         del entry.granted["a"]
         violations = check_waiting_consistency(stack.manager)
         assert violations and violations[0].rule == "waiting-consistency"
+
+    def test_missed_deadlock_detected(self, figure7_stack, monkeypatch):
+        """A rooted search that wrongly answers "acyclic" (forged: it sees
+        nothing reachable) is caught against the reference full pass —
+        and only while that verdict still describes the wait graph."""
+        manager = figure7_stack.manager
+        manager.acquire("a", ("db1", "x"), X)
+        manager.acquire("b", ("db1", "y"), X)
+        assert manager.detect_deadlock() is None
+        manager.acquire("a", ("db1", "y"), S)
+        assert manager.detect_deadlock("a") is None
+        assert check_deadlock_verdict(manager) == []
+        manager.acquire("b", ("db1", "x"), S)  # closes the cycle
+        monkeypatch.setattr(
+            manager.detector, "_reaches_itself", lambda waiter: False
+        )
+        assert manager.detect_deadlock("b") is None  # the forged miss
+        violations = check_deadlock_verdict(manager)
+        assert violations and violations[0].rule == "deadlock-verdict"
+        assert "deadlock-verdict" in {v.rule for v in audit(figure7_stack.protocol)}
+        manager.acquire("c", ("db1", "z"), X)  # the graph moved on
+        assert check_deadlock_verdict(manager) == []
 
     def test_coarse_cover_is_not_a_false_positive(self, figure7_stack):
         """A txn holding X on the object and nothing on a component is

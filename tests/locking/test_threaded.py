@@ -9,7 +9,8 @@ import time
 
 import pytest
 
-from repro.errors import DeadlockError, LockTimeoutError
+from repro.errors import DeadlockError, FaultInjected, LockTimeoutError
+from repro.locking.lock_table import RequestStatus
 from repro.locking.manager import ThreadedLockManager
 from repro.locking.modes import S, X
 
@@ -155,3 +156,114 @@ class TestTimeoutLeavesQueue:
         tlm.release_all("t1")
         tlm.acquire("t2", RA, X, timeout=1.0)
         assert tlm._manager.held_mode("t2", RA) is X
+
+
+class TestDetectionFromTheWaiter:
+    """On-wait detection starts from the thread's own transaction
+    (``detect_deadlock(txn)``); these are the two places that could hide a
+    cycle: one that only the *last* waiter closes, and one left standing
+    by a resolve loop that died half-way."""
+
+    RC, RD = ("rc",), ("rd",)
+
+    @staticmethod
+    def parked(tlm, txn):
+        """Block until ``txn`` has a request queued."""
+        deadline = time.monotonic() + 5.0
+        while time.monotonic() < deadline:
+            with tlm._lock:
+                if tlm.core.table.waiting_requests_of(txn):
+                    return
+            time.sleep(0.005)
+        raise AssertionError("%r never started waiting" % (txn,))
+
+    @staticmethod
+    def path(tlm, txn, resource, outcomes, release=True):
+        def run():
+            try:
+                tlm.acquire(txn, resource, X, timeout=5.0)
+                outcomes.append((txn, "granted"))
+            except (DeadlockError, LockTimeoutError, FaultInjected) as err:
+                outcomes.append((txn, type(err).__name__))
+            finally:
+                if release:
+                    tlm.release_all(txn)
+
+        thread = threading.Thread(target=run)
+        thread.start()
+        return thread
+
+    def test_cycle_closed_by_the_last_of_three_waiters(self):
+        tlm = ThreadedLockManager()
+        detector = tlm.core.detector
+        outcomes = []
+        tlm.acquire("t1", RA, X)
+        tlm.acquire("t2", RB, X)
+        tlm.acquire("t3", self.RC, X)
+        threads = [self.path(tlm, "t1", RB, outcomes)]
+        self.parked(tlm, "t1")
+        threads.append(self.path(tlm, "t2", self.RC, outcomes))
+        self.parked(tlm, "t2")
+        # two chained waits, no cycle, the second answered from t2 alone
+        assert (detector.detections, detector.deadlocks_found) == (2, 0)
+        assert detector.rooted_checks == 1
+        threads.append(self.path(tlm, "t3", RA, outcomes))  # t3 -> t1 -> t2 -> t3
+        for thread in threads:
+            thread.join(timeout=10.0)
+            assert not thread.is_alive()
+        # t3 (youngest by repr) dies on its own wait; the chain unwinds
+        assert outcomes == [
+            ("t3", "DeadlockError"),
+            ("t2", "granted"),
+            ("t1", "granted"),
+        ]
+        assert detector.deadlocks_found == 1
+        assert tlm.core.lock_count() == 0
+
+    def test_full_pass_after_an_interrupted_resolve_loop(self, monkeypatch):
+        """The victim's cancellation faults, so t2's acquire dies with the
+        t1/t2 cycle still in the table.  t3's later wait is nowhere near
+        that cycle: only the full pass can find it, and the detector must
+        choose that on its own."""
+        tlm = ThreadedLockManager()
+        detector = tlm.core.detector
+        outcomes = []
+        tlm.acquire("t1", RA, X)
+        tlm.acquire("t2", RB, X)
+        tlm.acquire("t4", self.RD, X)
+        threads = [self.path(tlm, "t1", RB, outcomes)]
+        self.parked(tlm, "t1")
+
+        cancel = tlm.core.cancel
+        faults = []
+
+        def faulty_cancel(request):
+            if not faults:
+                faults.append(request)
+                raise FaultInjected("cancel of %r" % (request,))
+            return cancel(request)
+
+        monkeypatch.setattr(tlm.core, "cancel", faulty_cancel)
+        # release=False: t2's abort "hangs" after the fault
+        victim_thread = self.path(tlm, "t2", RA, outcomes, release=False)
+        victim_thread.join(timeout=10.0)
+        assert outcomes == [("t2", "FaultInjected")]
+        (orphan,) = faults
+        assert orphan.status == RequestStatus.WAITING  # the cycle stands
+        assert detector.deadlocks_found == 1
+
+        rooted_before = detector.rooted_checks
+        threads.append(self.path(tlm, "t3", self.RD, outcomes))  # waits on t4
+        self.parked(tlm, "t3")
+        # t3's check found and broke the old cycle without a rooted answer
+        assert detector.deadlocks_found == 2
+        assert detector.rooted_checks == rooted_before
+        assert orphan.status == RequestStatus.CANCELLED
+
+        tlm.release_all("t2")  # t1 gets RB
+        tlm.release_all("t4")  # t3 gets RD
+        for thread in threads:
+            thread.join(timeout=10.0)
+            assert not thread.is_alive()
+        assert sorted(outcomes[1:]) == [("t1", "granted"), ("t3", "granted")]
+        assert tlm.core.lock_count() == 0

@@ -122,6 +122,44 @@ class TestErrorFrames:
             ("UNLOCK t1 db1/nope", "ERR UNKNOWN-RESOURCE db1/nope"),
         ])
 
+    def test_object_inserted_after_start_resolves(self):
+        """The text dispatcher resolves paths through an index stamped by
+        ``database.structure_version``: an insert (or delete) made while
+        serving must be visible to the very next frame."""
+        from repro.nf2.database import make_tuple
+
+        async def go():
+            stack = make_service_stack("partlib", shards=2)
+            server = LockServer(stack, port=0)
+            host, port = await server.start()
+            client = await ServiceClient(host, port).connect()
+            path = "db1/seg_materials/materials/m9"
+            try:
+                assert await client.request("START t1") == "OK STARTED t1"
+                # warms the index for the relation the insert will grow
+                assert await client.request("SLOCK t1 %s" % path) == (
+                    "ERR UNKNOWN-RESOURCE %s" % path
+                )
+                stack.database.insert(
+                    "materials",
+                    make_tuple(mat_id="m9", name="unobtainium", density=9.0),
+                )
+                assert await client.request("SLOCK t1 %s" % path) == (
+                    "OK GRANTED t1 %s steps=4" % path
+                )
+                assert await client.request("UNLOCK t1 %s" % path) == (
+                    "OK RELEASED t1 %s" % path
+                )
+                stack.database.relation("materials").delete("m9")
+                assert await client.request("SLOCK t1 %s" % path) == (
+                    "ERR UNKNOWN-RESOURCE %s" % path
+                )
+            finally:
+                await client.close()
+                await server.stop()
+
+        asyncio.run(go())
+
     def test_bad_mode_in_acquire_many(self):
         run_transcript([
             ("START t1", "OK STARTED t1"),
