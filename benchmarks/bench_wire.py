@@ -15,17 +15,13 @@ frame never head-of-line-blocks the frames behind it).  The rungs:
 * ``pipelined-uncoal``    — 32 requests in flight, but the server
                             flushes every response individually;
 * ``pipelined``           — depth 32 with coalesced per-batch writes
-                            (the shipping configuration);
-* ``workers``             — the pipelined configuration against two
-                            multiprocess shard workers.
+                            (the shipping configuration).
 
 The headline and the PR's acceptance bar: binary + pipelining at depth
 32 must clear **5x** the text protocol's req/sec on partlib.  The
 binary-vs-text rung isolates the framing win (framing alone is roughly
-throughput-neutral at depth 1 — the round-trip dominates), the
-uncoalesced rung isolates the write-batching win, and the workers rung
-prices the process-hop (on one core it is pure overhead; it exists to
-show the deployment works, not to win).
+throughput-neutral at depth 1 — the round-trip dominates) and the
+uncoalesced rung isolates the write-batching win.
 """
 
 import asyncio
@@ -42,13 +38,12 @@ SERVICE_TIME = 0.001
 DURATION = 1.2
 DEPTH = 32
 
-#: rung -> (binary, pipeline_depth, coalesce_writes, workers)
+#: rung -> (binary, pipeline_depth, coalesce_writes)
 LADDER = (
-    ("text", (False, 1, True, 0)),
-    ("binary", (True, 1, True, 0)),
-    ("pipelined-uncoal", (True, DEPTH, False, 0)),
-    ("pipelined", (True, DEPTH, True, 0)),
-    ("workers", (True, DEPTH, True, 2)),
+    ("text", (False, 1, True)),
+    ("binary", (True, 1, True)),
+    ("pipelined-uncoal", (True, DEPTH, False)),
+    ("pipelined", (True, DEPTH, True)),
 )
 
 _paths_cache = {}
@@ -60,12 +55,12 @@ def _paths(workload):
     return _paths_cache[workload]
 
 
-def _throughput(binary, depth, coalesce, workers, duration=DURATION):
+def _throughput(binary, depth, coalesce, duration=DURATION):
     """Serve partlib under one ladder rung, load it, report req/sec."""
 
     async def go():
         server = LockServer(
-            make_service_stack(WORKLOAD, shards=SHARDS, workers=workers),
+            make_service_stack(WORKLOAD, shards=SHARDS),
             port=0,
             shard_service_time=SERVICE_TIME,
             coalesce_writes=coalesce,
@@ -148,6 +143,4 @@ def test_wire_protocol_ladder(benchmark):
         results["binary"]["req_per_sec"] / base, 3
     )
     benchmark.extra_info["wire_pipeline_depth"] = DEPTH
-    benchmark.pedantic(
-        _throughput, args=(True, DEPTH, True, 0), rounds=1
-    )
+    benchmark.pedantic(_throughput, args=(True, DEPTH, True), rounds=1)

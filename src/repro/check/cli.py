@@ -145,7 +145,7 @@ def _build_parser() -> argparse.ArgumentParser:
     diff.add_argument(
         "--no-binary-wire",
         action="store_true",
-        help="skip the text/binary/pipelined/workers wire comparison",
+        help="skip the three-way text/binary/pipelined wire comparison",
     )
     diff.add_argument(
         "--no-semantic-modes",
@@ -156,7 +156,7 @@ def _build_parser() -> argparse.ArgumentParser:
     smoke.add_argument(
         "--no-binary-wire",
         action="store_true",
-        help="skip the text/binary/pipelined/workers wire comparison",
+        help="skip the three-way text/binary/pipelined wire comparison",
     )
     return parser
 

@@ -1,22 +1,20 @@
 """Wire-protocol differential certification.
 
-The binary wire protocol, client-side pipelining, server write
-coalescing and the multiprocess shard workers all claim to be pure
-transport: none of them may change *which* lock events happen, their
-order, or what the client is told.  This module replays deterministic
-client scripts against a freshly served lock stack once per wire mode —
+The binary wire protocol, client-side pipelining and server write
+coalescing all claim to be pure transport: none of them may change
+*which* lock events happen, their order, or what the client is told.
+This module replays deterministic client scripts against a freshly
+served lock stack once per wire mode —
 
 * ``text``       — the PR-7 line protocol, one request in flight;
 * ``binary``     — the length-prefixed binary protocol after the
                    ``HELLO BINARY`` upgrade, one request in flight;
 * ``pipelined``  — the binary protocol with whole batches submitted in
-                   a single write and N responses in flight;
-* ``workers``    — the binary protocol against multiprocess shard
-                   workers (``make_service_stack(..., workers=2)``) —
+                   a single write and N responses in flight —
 
 and fingerprints each run as the full normalised lock-trace narrative
 (every request, grant, wait, wake, release and cancel, in order) plus
-the exact response text of every scripted request.  The four modes must
+the exact response text of every scripted request.  The three modes must
 coincide bit-for-bit; :func:`assert_wire_modes_agree` raises
 :class:`~repro.errors.CheckError` on the first divergence.
 
@@ -51,7 +49,7 @@ SCRIPT_LOCK_TIMEOUT = 0.05
 DEADLOCK_SCRIPT_LOCK_TIMEOUT = 0.5
 
 #: Every wire mode the differential compares, in report order.
-WIRE_MODES = ("text", "binary", "pipelined", "workers")
+WIRE_MODES = ("text", "binary", "pipelined")
 
 #: Scripted smoke workloads: script name -> served database workload.
 SCRIPT_WORKLOADS = OrderedDict(
@@ -304,7 +302,6 @@ async def _run_script(script: str, mode: str, shards: int = 4) -> tuple:
     stack = make_service_stack(
         SCRIPT_WORKLOADS[script],
         shards=shards,
-        workers=2 if mode == "workers" else 0,
         **SCRIPT_FLAGS.get(script, {})
     )
     server = LockServer(

@@ -204,11 +204,9 @@ class DeadlockDetector:
             self.cached_checks += 1
             cycle = self._last[1]
         else:
-            # absent on the worker-fleet proxy table: full passes only
-            waits = getattr(table, "waits", None)
+            waits = table.waits
             if (
                 waiter is not None
-                and waits is not None
                 and waits - 1 == self._acyclic_at_waits
                 and not self._reaches_itself(waiter)
             ):

@@ -9,10 +9,11 @@ import sys
 
 
 def serve_main(argv=None) -> int:
-    """Serve a sharded lock stack over the line protocol."""
+    """Serve a sharded lock stack over the text and binary protocols."""
     parser = argparse.ArgumentParser(
         prog="repro-serve",
-        description="Serve a sharded lock stack over the asyncio line protocol.",
+        description="Serve a sharded lock stack over the asyncio text "
+        "and binary wire protocols.",
     )
     parser.add_argument("--host", default="127.0.0.1")
     parser.add_argument("--port", type=int, default=7457)
@@ -38,12 +39,6 @@ def serve_main(argv=None) -> int:
         help="seconds a lock wait may park before ERR TIMEOUT",
     )
     parser.add_argument(
-        "--workers",
-        type=int,
-        default=0,
-        help="shard worker processes (0 = in-process shard tables)",
-    )
-    parser.add_argument(
         "--no-coalesce",
         action="store_true",
         help="flush each response individually instead of per ready-batch",
@@ -61,7 +56,6 @@ def serve_main(argv=None) -> int:
     stack = make_service_stack(
         args.workload,
         shards=args.shards,
-        workers=args.workers,
         use_semantic_modes=args.semantic_modes,
     )
     server = LockServer(
@@ -76,9 +70,8 @@ def serve_main(argv=None) -> int:
     async def _serve():
         host, port = await server.start()
         print(
-            "repro-serve: %s workload, %d shards, %d workers, "
-            "listening on %s:%d"
-            % (args.workload, args.shards, args.workers, host, port),
+            "repro-serve: %s workload, %d shards, listening on %s:%d"
+            % (args.workload, args.shards, host, port),
             flush=True,
         )
         assert server._server is not None

@@ -2,10 +2,8 @@
 lock stack.
 
 One :class:`LockServer` owns a :class:`~repro.LockStack` whose manager is
-a :class:`~repro.service.sharded.ShardedLockManager` (or, behind
-``--workers K``, a :class:`~repro.service.workers.WorkerProxyManager`
-fronting true multiprocess shard workers).  Clients start in the line
-protocol (one request line, one response line, UTF-8):
+a :class:`~repro.service.sharded.ShardedLockManager`.  Clients start in
+the line protocol (one request line, one response line, UTF-8):
 
     START <txn>
     SLOCK <txn> <path> [NOWAIT]        S on the node, full protocol plan
@@ -37,9 +35,10 @@ framing of :mod:`repro.service.wire` (dense interned resource ids on the
 wire, correlation ids, pipelining); the text protocol stays as the
 debug/fallback path.  ``<path>`` is a slash-joined resource tuple
 (``db1/seg1/cells/c1``).  Responses are ``OK ...`` or ``ERR <CODE> ...``
-— see docs/SERVICE.md for the frame grammar and
-tests/service/test_protocol_conformance.py plus
-tests/service/test_binary_conformance.py for golden transcripts.
+— see docs/SERVICE.md for the frame grammar,
+tests/service/test_protocol_conformance.py for golden text transcripts
+and tests/service/test_wire_protocol.py plus
+tests/service/test_pipelining.py for the golden binary ones.
 
 Both protocols run through one connection loop over a self-managed
 growable buffer (no ``readline()``): complete frames are decoded in
@@ -65,20 +64,17 @@ no shard, keeping commit off the admission path.  A task never holds one
 shard mutex while waiting for another (runs are sequential), and the one
 multi-shard operation — the deadlock detector's stop-the-world snapshot
 — takes mutexes in ascending shard order, the single global order, so
-mutex deadlock is impossible by construction.  In workers mode the same
-model holds, except manager operations are blocking pipe RPCs and run in
-the default executor (the ``_call`` seam), never on the loop.
+mutex deadlock is impossible by construction.
 
 WAITING requests park on an :class:`asyncio.Future`; the manager's
 ``on_wake`` callback resolves the future when a release or cancellation
-grants the queued request (marshalled via ``call_soon_threadsafe`` in
-workers mode, where wakes surface on executor threads).  Responses
-already queued behind a parked request are flushed *before* parking, so
-a pipelined batch never sits on completed answers while one frame waits.
-A cross-shard deadlock detector task snapshots the union waits-for graph
-(all shard mutexes held) on an interval, nudged early whenever a request
-starts waiting; victims are aborted through the transaction manager with
-the bounded-retry pattern of the fault harness.
+grants the queued request.  Responses already queued behind a parked
+request are flushed *before* parking, so a pipelined batch never sits on
+completed answers while one frame waits.  A cross-shard deadlock
+detector task snapshots the union waits-for graph (all shard mutexes
+held) on an interval, nudged early whenever a request starts waiting;
+victims are aborted through the transaction manager with the
+bounded-retry pattern of the fault harness.
 
 Fault injection: the server fires ``service.frame`` before parsing every
 request frame (an injected error drops the connection — the mid-frame
@@ -90,7 +86,6 @@ registered in :data:`repro.faults.plan.INJECTION_POINTS`.
 from __future__ import annotations
 
 import asyncio
-import functools
 import json
 from typing import Dict, List, Optional, Tuple
 
@@ -151,10 +146,9 @@ def register_database_resources(interner, database) -> List[tuple]:
     """Intern every schema-level resource of ``database`` in one
     deterministic order (database, segments, relations, objects).
 
-    The server runs this at start and workers mode runs it again for the
-    fork snapshot, so the dense ids a binary client learns over
-    ``OP_RESOURCES`` are the very ids the shard router and the worker
-    tables route on.
+    The server runs this at start, so the dense ids a binary client
+    learns over ``OP_RESOURCES`` follow one registration order on every
+    boot.
     """
     resources: List[tuple] = [(database.name,)]
     relations = database.relations()
@@ -175,18 +169,13 @@ def register_database_resources(interner, database) -> List[tuple]:
     return resources
 
 
-def make_service_stack(
-    workload: str = "cells", shards: int = 4, workers: int = 0, **flags
-):
+def make_service_stack(workload: str = "cells", shards: int = 4, **flags):
     """A fresh served stack over one of the standard databases.
 
     ``workload`` picks the database: ``cells`` (the paper's figure-7
     robotics schema) or ``partlib`` (the part library of the check
     workloads).  ``shards`` goes to the ShardedLockManager; remaining
-    flags are protocol ablation flags.  ``workers=K`` swaps the
-    in-process shard tables for K multiprocess shard workers behind a
-    :class:`~repro.service.workers.WorkerProxyManager`; the interner
-    snapshot of the schema tree ships to every worker at fork.
+    flags are protocol ablation flags.
     """
     import repro
 
@@ -200,24 +189,7 @@ def make_service_stack(
         database, catalog = build_cells_database(figure7=True)
     else:
         raise ValueError("unknown service workload %r" % (workload,))
-    stack = repro.make_stack(database, catalog, shards=shards, **flags)
-    if workers:
-        if flags.get("use_dense_path"):
-            raise ValueError("workers mode has no dense-path variant")
-        from repro.nf2.surrogate import ResourceInterner
-        from repro.service.workers import WorkerPool, WorkerProxyManager
-
-        router = ResourceInterner()
-        resources = register_database_resources(router, database)
-        snapshot = [
-            (router.intern(resource), "/".join(str(p) for p in resource))
-            for resource in resources
-        ]
-        pool = WorkerPool(shards, workers, snapshot)
-        proxy = WorkerProxyManager(pool, router)
-        stack.manager = proxy
-        stack.protocol.manager = proxy
-    return stack
+    return repro.make_stack(database, catalog, shards=shards, **flags)
 
 
 class _Session:
@@ -323,19 +295,11 @@ class LockServer:
         max_frame: int = wire.DEFAULT_MAX_FRAME,
         coalesce_writes: bool = True,
     ):
-        from repro.service.workers import WorkerProxyManager
-
         manager = stack.manager
-        if not isinstance(manager, (ShardedLockManager, WorkerProxyManager)):
-            raise TypeError(
-                "LockServer requires a ShardedLockManager or "
-                "WorkerProxyManager stack"
-            )
+        if not isinstance(manager, ShardedLockManager):
+            raise TypeError("LockServer requires a ShardedLockManager stack")
         self.stack = stack
         self.manager = manager
-        #: workers-mode manager calls block on pipe RPCs — run them in
-        #: the default executor so the event loop never stalls
-        self._use_executor = isinstance(manager, WorkerProxyManager)
         self.host = host
         self.port = port
         #: per-submitted-request service latency charged inside the
@@ -403,9 +367,6 @@ class LockServer:
             asyncio.Lock() for _ in range(self.manager.n_shards)
         ]
         self._nudge = asyncio.Event()
-        if self._use_executor:
-            # wakes arrive on executor threads in workers mode
-            self.manager.on_wake = self._on_wake_threadsafe
         self._register_resources()
         self._server = await asyncio.start_server(
             self._handle_client, self.host, self.port
@@ -426,8 +387,6 @@ class LockServer:
             self._server.close()
             await self._server.wait_closed()
             self._server = None
-        if self._use_executor:
-            self.manager.stop()
 
     async def serve_forever(self):
         await self.start()
@@ -444,29 +403,11 @@ class LockServer:
         router keeps assigning its ids lazily on first touch, exactly
         as PR 7 did, so shard routing (and every behavior downstream of
         it) is identical whether or not a binary client ever connects.
-        In workers mode the router was pre-seeded with the same
-        registration order at fork, so there the two id spaces happen
-        to coincide.
         """
         for resource in register_database_resources(
             self._wire_ids, self.stack.database
         ):
             self._rid_resources[self._wire_ids.intern(resource)] = resource
-
-    # -- executor seam --------------------------------------------------------
-
-    async def _call(self, fn, *args, **kwargs):
-        """Run a manager/transaction mutation.
-
-        In-process managers mutate synchronously on the loop (exactly
-        the PR 7 behavior); the workers-mode proxy blocks on pipe RPCs,
-        so it runs in the default executor instead.
-        """
-        if self._use_executor:
-            return await self._loop.run_in_executor(
-                None, functools.partial(fn, *args, **kwargs)
-            )
-        return fn(*args, **kwargs)
 
     # -- wake plumbing --------------------------------------------------------
 
@@ -475,9 +416,6 @@ class LockServer:
             future = self._futures.get(request)
             if future is not None and not future.done():
                 future.set_result(True)
-
-    def _on_wake_threadsafe(self, woken):
-        self._loop.call_soon_threadsafe(self._on_wake, woken)
 
     # -- connection handling --------------------------------------------------
 
@@ -518,15 +456,9 @@ class LockServer:
                 await asyncio.gather(
                     *list(session.tasks), return_exceptions=True
                 )
-            try:
-                for txn in list(session.txns.values()):
-                    if txn.state == TxnState.ACTIVE:
-                        await self._abort_txn(txn)
-            except asyncio.CancelledError:
-                # server shutdown raced the abort RPC (workers mode runs
-                # it in the executor); the pool teardown releases the
-                # transaction's locks anyway
-                pass
+            for txn in list(session.txns.values()):
+                if txn.state == TxnState.ACTIVE:
+                    self._abort_txn(txn)
             session.txns.clear()
             writer.close()
             try:
@@ -970,7 +902,7 @@ class LockServer:
         # path — it was the scaling bottleneck when every transaction's
         # END drained all N shard mutexes.
         try:
-            await self._call(self.stack.txns.commit, txn)
+            self.stack.txns.commit(txn)
         except TransactionError:
             # e.g. the detector picked this transaction as victim after
             # the liveness check above
@@ -1005,7 +937,7 @@ class LockServer:
             shard = self.manager.shard_of(resource)
             async with self._shard_locks[shard]:
                 try:
-                    await self._call(self.manager.release, txn, resource)
+                    self.manager.release(txn, resource)
                 except LockError:
                     return "ERR NOT-HELD %s %s" % (name, path)
             return "OK RELEASED %s %s" % (name, path)
@@ -1124,12 +1056,8 @@ class LockServer:
                 granted: List[LockRequest] = []
                 async with self._shard_locks[run_shard]:
                     try:
-                        granted = await self._call(
-                            self.manager.acquire_many,
-                            txn,
-                            run,
-                            long=txn.long,
-                            wait=not nowait,
+                        granted = self.manager.acquire_many(
+                            txn, run, long=txn.long, wait=not nowait
                         )
                     except LockConflictError as exc:
                         return "ERR CONFLICT %s %s" % (
@@ -1157,7 +1085,7 @@ class LockServer:
                     # an injected fault (error or abort action) during
                     # the batch: abort the transaction — the universal
                     # cleaner — and report; the session entry goes too
-                    await self._abort_txn(txn)
+                    self._abort_txn(txn)
                     session.txns.pop(name, None)
                     return "ERR FAULT %s %s" % (name, what)
                 if granted and not granted[-1].granted:
@@ -1198,7 +1126,7 @@ class LockServer:
             shard = self.manager.shard_of(request.resource)
             async with self._shard_locks[shard]:
                 if request.status == RequestStatus.WAITING:
-                    await self._call(self.manager.cancel, request)
+                    self.manager.cancel(request)
             if request.granted:
                 return None  # granted in the race window: keep it
             self.stats["timeouts"] += 1
@@ -1236,23 +1164,13 @@ class LockServer:
         await self._all_shards_acquire()
         try:
             while True:
-                cycle = await self._call(self.manager.detect_deadlock)
+                cycle = self.manager.detect_deadlock()
                 if cycle is None:
                     return
                 victim = self.manager.detector.pick_victim(cycle)
                 self.stats["deadlock_victims"] += 1
                 self._fail_victim_futures(victim, cycle)
-                for request in self.manager.table.waiting_requests_of(victim):
-                    await self._call(self.manager.cancel, request)
-                # bounded retry: an injected fault can raise during the
-                # abort; TransactionManager.abort is re-entrant
-                for attempt in range(3):
-                    try:
-                        await self._call(self.stack.txns.abort, victim)
-                        break
-                    except Exception:
-                        if attempt == 2:
-                            raise
+                self._abort_txn(victim)
         finally:
             self._all_shards_release()
 
@@ -1268,13 +1186,15 @@ class LockServer:
                     )
                 )
 
-    async def _abort_txn(self, txn):
+    def _abort_txn(self, txn):
         # like commit: a synchronous mutation, no shard mutex needed
         for request in self.manager.table.waiting_requests_of(txn):
-            await self._call(self.manager.cancel, request)
+            self.manager.cancel(request)
+        # bounded retry: an injected fault can raise during the abort;
+        # TransactionManager.abort is re-entrant
         for attempt in range(3):
             try:
-                await self._call(self.stack.txns.abort, txn)
+                self.stack.txns.abort(txn)
                 break
             except Exception:
                 if attempt == 2:

@@ -1,4 +1,4 @@
-"""Wire-mode differential: text, binary, pipelined and workers replay
+"""Three-way wire-mode differential: text, binary and pipelined replay
 bit-identically.
 
 Thin pytest wrapper over :mod:`repro.check.wire` — the same harness

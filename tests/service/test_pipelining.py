@@ -7,7 +7,9 @@ responses are matched by correlation id.  These tests pin the three
 load-bearing consequences: a parked frame does not head-of-line-block
 the pipeline, END waits for its own transaction's in-flight lock
 frames before committing, and coalesced writes batch multiple
-responses into single flushes.
+responses into single flushes.  A last class pins the served deadlock
+outcome over binary clients: which transaction dies and what each side
+is told.
 """
 
 import asyncio
@@ -16,6 +18,7 @@ from repro.service.client import ServiceClient
 from repro.service.server import LockServer, make_service_stack
 
 P1 = "db1/seg_parts/parts/p1"
+P2 = "db1/seg_parts/parts/p2"
 M2 = "db1/seg_materials/materials/m2"
 
 
@@ -172,6 +175,50 @@ class TestPipelinedDispatch:
                 assert stats["lock_count"] == 0, stats
             finally:
                 await probe.close()
+                await server.stop()
+
+        asyncio.run(go())
+
+
+class TestServedDeadlock:
+    def test_cross_shard_cycle_kills_the_highest_name(self):
+        """t1 and t2 cross their demands on p1/p2 over two binary
+        connections; the detector finds the cycle across the shard
+        tables.  The server installs no age function, so every
+        transaction is equally old and ``pick_victim`` falls through to
+        its tie-break: the highest name dies (t2), not "the youngest".
+        The survivor inherits the grant, and the victim's END finds its
+        transaction already gone."""
+
+        async def go():
+            server = serve()
+            host, port = await server.start()
+            c1 = await ServiceClient(host, port, binary=True).connect()
+            c2 = await ServiceClient(host, port, binary=True).connect()
+            try:
+                assert await c1.start("t1") == "OK STARTED t1"
+                assert await c2.start("t2") == "OK STARTED t2"
+                assert (await c1.lock("XLOCK", "t1", P1)).startswith(
+                    "OK GRANTED"
+                )
+                assert (await c2.lock("XLOCK", "t2", P2)).startswith(
+                    "OK GRANTED"
+                )
+                parked_t2 = asyncio.create_task(c2.lock("XLOCK", "t2", P1))
+                while not server._futures:
+                    if parked_t2.done():
+                        break
+                    await asyncio.sleep(0.005)
+                parked_t1 = asyncio.create_task(c1.lock("XLOCK", "t1", P2))
+                responses = await asyncio.gather(parked_t1, parked_t2)
+                assert responses[0].startswith("OK GRANTED t1 "), responses
+                assert responses[1] == "ERR DEADLOCK t2", responses
+                assert server.stats["deadlock_victims"] == 1
+                assert await c1.end("t1") == "OK ENDED t1"
+                assert await c2.end("t2") == "ERR NOTXN t2"
+            finally:
+                await c1.close()
+                await c2.close()
                 await server.stop()
 
         asyncio.run(go())
