@@ -13,10 +13,6 @@ dense path:
 * **dense (no pooling)** — the freelists ablated away, isolating what
   record reuse contributes.
 
-A fifth row reports the compiled kernel flavour (``DENSE_CORE``); when
-no extension was built the pure-python kernels are the measured path
-and the row says so rather than faking a number.
-
 The workload is the paper's workstation pattern: transactions that
 repeatedly demand whole cells (S on the object root expands to the
 intention chain plus entry-point locks), where the re-demand of an
@@ -28,7 +24,6 @@ import time
 import repro
 from benchmarks._common import print_table
 from repro.graphs.units import object_resource
-from repro.locking.dense import DENSE_CORE
 from repro.locking.modes import S
 from repro.workloads import build_cells_database
 
@@ -130,23 +125,13 @@ def test_dense_path_ablation_ladder(benchmark):
                 "%.4fs" % elapsed,
                 "%.2fx" % (base_time / elapsed),
                 metrics["plan_cache_hits"],
-                metrics["dense_core"] or "-",
             )
         )
-    rows.append(
-        (
-            "compiled kernel",
-            "-",
-            "-",
-            "-",
-            DENSE_CORE if DENSE_CORE == "compiled" else "unavailable (pure python)",
-        )
-    )
     print_table(
         "Dense-path ablation: %d covered whole-cell re-demand rounds "
         "(%d cells x %d robots)"
         % (ROUNDS, DB_KWARGS["n_cells"], DB_KWARGS["n_robots"]),
-        ("variant", "best of 3", "speedup", "cache hits", "core"),
+        ("variant", "best of 3", "speedup", "cache hits"),
         rows,
     )
     dense_time, dense_metrics = results["dense"]
@@ -162,7 +147,6 @@ def test_dense_path_ablation_ladder(benchmark):
     benchmark.extra_info["dense_vs_plan_cache_speedup"] = round(
         results["plan cache + batching"][0] / dense_time, 3
     )
-    benchmark.extra_info["dense_core"] = DENSE_CORE
     benchmark.pedantic(
         _covered_redemands, args=(dict(VARIANTS[2][1]),), rounds=5
     )

@@ -3,34 +3,8 @@
 The canonical metadata lives in pyproject.toml; this file only enables
 legacy editable installs (`pip install -e . --no-use-pep517`) on offline
 machines whose setuptools cannot build PEP-660 editable wheels.
-
-Optionally, ``REPRO_BUILD_DENSE=1`` cythonizes the dense-path kernels
-(:mod:`repro.locking._densecore`) into ``_densecore_c``, which
-``repro.locking.dense`` picks up at import time (``DENSE_CORE ==
-"compiled"``).  The gate is inert when Cython is absent — the pure
-python kernels are the supported default and the full test suite runs
-against them; the extension is a strict drop-in (same functions, same
-results) so no behavior may depend on which flavour loaded.
 """
-
-import os
 
 from setuptools import setup
 
-ext_modules = []
-if os.environ.get("REPRO_BUILD_DENSE") == "1":
-    try:
-        from Cython.Build import cythonize
-    except ImportError:
-        cythonize = None
-    if cythonize is not None:
-        import shutil
-
-        here = os.path.dirname(os.path.abspath(__file__))
-        source = os.path.join(here, "src", "repro", "locking", "_densecore.py")
-        twin = os.path.join(here, "src", "repro", "locking", "_densecore_c.py")
-        # compile a copy: the pure module must stay importable as python
-        shutil.copyfile(source, twin)
-        ext_modules = cythonize([twin], language_level=3)
-
-setup(ext_modules=ext_modules)
+setup()

@@ -2,14 +2,9 @@
 
 These are the innermost loops of plan filtering and batched pruning,
 written against primitive types only — ``array``-like integer sequences,
-int-keyed dicts and flat ``bytes`` mode tables — so an optional ahead-of-
-time compile (mypyc/Cython, see ``setup.py``) can translate them without
-boxing.  :mod:`repro.locking.dense` selects the compiled module
-``repro.locking._densecore_c`` when one was built and importable, and
-falls back to this file otherwise; ``REPRO_PURE_PYTHON=1`` forces the
-fallback.  Both flavours must be observably identical — the differential
-fingerprint harness replays lock traces across the ablation flag, and the
-full test suite runs against whichever flavour imported.
+int-keyed dicts and flat ``bytes`` mode tables.  The differential
+fingerprint harness replays lock traces across the ``use_dense_path``
+ablation flag.
 
 Nothing here may import enums, resources or any repro module: the callers
 translate to ints on the way in and back on the way out.

@@ -14,8 +14,7 @@ LockTable` whose hot loops run on dense integers instead of objects:
   flat compatibility table of :mod:`repro.locking.modes`;
 * ``_HeldLock`` and resource-entry records are pooled on a freelist
   (``pool_records``) to kill the per-request allocation churn;
-* the int kernels live in :mod:`repro.locking._densecore` with an
-  optional compiled twin selected at import time (see ``DENSE_CORE``).
+* the int kernels live in :mod:`repro.locking._densecore`.
 
 Everything observable — grants, queue order, wake order, counters, the
 waits-for graph, fault-injection points — is bit-identical to the object
@@ -34,9 +33,9 @@ plus the held/entry freelists, whose records never escape the table.
 
 from __future__ import annotations
 
-import os
 from typing import Dict, List, Optional
 
+from repro.locking import _densecore as core  # noqa: F401  (re-exported)
 from repro.locking.lock_table import (
     LockRequest,
     LockTable,
@@ -51,19 +50,6 @@ from repro.locking.modes import (
     LockMode,
 )
 from repro.nf2.surrogate import ResourceInterner
-
-from repro.locking import _densecore as _pure_core
-
-core = _pure_core
-#: which kernel flavour is live: "python" or "compiled"
-DENSE_CORE = "python"
-if not os.environ.get("REPRO_PURE_PYTHON"):
-    try:  # pragma: no cover - exercised only when an extension was built
-        from repro.locking import _densecore_c as core  # type: ignore
-
-        DENSE_CORE = "compiled"
-    except ImportError:
-        core = _pure_core
 
 #: freelist bound: beyond this, retired records go to the allocator
 _POOL_MAX = 1024

@@ -25,7 +25,7 @@ from typing import List, Tuple
 
 from repro.errors import ProtocolError
 from repro.graphs.units import UnitMap, ancestors
-from repro.locking.dense import DENSE_CORE, DenseLockTable, DenseSteps, core
+from repro.locking.dense import DenseLockTable, DenseSteps, core
 from repro.locking.manager import LockManager
 from repro.locking.modes import (
     COVERS_FLAT,
@@ -515,7 +515,6 @@ class ProtocolBase:
             "use_batched_acquire": self.use_batched_acquire,
             "use_dense_path": self.use_dense_path,
             "use_semantic_modes": self.use_semantic_modes,
-            "dense_core": DENSE_CORE if self._dense_table is not None else "",
             "summary_rebuilds": self.manager.table.summary_rebuilds,
         }
         out.update(self.plan_cache.stats())

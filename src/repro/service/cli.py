@@ -27,21 +27,10 @@ def serve_main(argv=None) -> int:
         help="database to serve",
     )
     parser.add_argument(
-        "--service-time",
-        type=float,
-        default=0.0,
-        help="per-request service latency charged inside the shard mutex (s)",
-    )
-    parser.add_argument(
         "--lock-timeout",
         type=float,
         default=5.0,
         help="seconds a lock wait may park before ERR TIMEOUT",
-    )
-    parser.add_argument(
-        "--no-coalesce",
-        action="store_true",
-        help="flush each response individually instead of per ready-batch",
     )
     parser.add_argument(
         "--semantic-modes",
@@ -62,9 +51,7 @@ def serve_main(argv=None) -> int:
         stack,
         host=args.host,
         port=args.port,
-        shard_service_time=args.service_time,
         lock_timeout=args.lock_timeout,
-        coalesce_writes=not args.no_coalesce,
     )
 
     async def _serve():

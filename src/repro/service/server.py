@@ -52,29 +52,25 @@ clean ``ERR FRAME_TOO_LONG`` reply and the connection stays up, where
 the old ``readline()`` path tore the session down with
 ``LimitOverrunError``.
 
-Concurrency model: the event loop is single-threaded and every lock-table
-mutation is synchronous, so state consistency never depends on the shard
-mutexes — they model per-partition *admission*.  A lock request is cut
-into per-shard runs (root-to-leaf order) and each run holds only its own
-shard's ``asyncio.Lock`` while the shard table works, plus an optional
-``shard_service_time`` sleep per submitted request modelling per-shard
-storage latency; requests routed to different shards overlap, requests
-to the same shard serialize.  EOT release is synchronous and charged to
-no shard, keeping commit off the admission path.  A task never holds one
-shard mutex while waiting for another (runs are sequential), and the one
-multi-shard operation — the deadlock detector's stop-the-world snapshot
-— takes mutexes in ascending shard order, the single global order, so
-mutex deadlock is impossible by construction.
+Concurrency model: one process, one single-threaded event loop, and
+every lock-table mutation synchronous — so nothing needs a mutex.  A
+lock frame submits its whole plan with one ``manager.acquire_many`` call
+(the manager alone cuts it into per-shard runs); at most the last
+returned request is WAITING, in which case the frame parks, and once
+granted resumes with the steps after the blocked one until the plan is
+exhausted.  Release, commit, abort, the timeout cancel and the deadlock
+detector's pass over the union waits-for graph are plain synchronous
+calls between two ``await`` points.
 
 WAITING requests park on an :class:`asyncio.Future`; the manager's
 ``on_wake`` callback resolves the future when a release or cancellation
 grants the queued request.  Responses already queued behind a parked
 request are flushed *before* parking, so a pipelined batch never sits on
 completed answers while one frame waits.  A cross-shard deadlock
-detector task snapshots the union waits-for graph (all shard mutexes
-held) on an interval, nudged early whenever a request starts waiting;
-victims are aborted through the transaction manager with the
-bounded-retry pattern of the fault harness.
+detector task checks the union waits-for graph on an interval, nudged
+early whenever a request starts waiting; victims are aborted through
+the transaction manager with the bounded-retry pattern of the fault
+harness.
 
 Fault injection: the server fires ``service.frame`` before parsing every
 request frame (an injected error drops the connection — the mid-frame
@@ -255,7 +251,7 @@ class _Session:
                 event.set()
 
     async def quiesce(self, name: str):
-        """Park until no lock/unlock frame for ``name`` is in flight."""
+        """Park until no lock frame for ``name`` is in flight."""
         while self.inflight.get(name, 0):
             event = self.idle.setdefault(name, asyncio.Event())
             await event.wait()
@@ -289,11 +285,9 @@ class LockServer:
         stack,
         host: str = "127.0.0.1",
         port: int = 0,
-        shard_service_time: float = 0.0,
         detector_interval: float = 0.05,
         lock_timeout: float = 5.0,
         max_frame: int = wire.DEFAULT_MAX_FRAME,
-        coalesce_writes: bool = True,
     ):
         manager = stack.manager
         if not isinstance(manager, ShardedLockManager):
@@ -302,18 +296,12 @@ class LockServer:
         self.manager = manager
         self.host = host
         self.port = port
-        #: per-submitted-request service latency charged inside the
-        #: owning shard's mutex — the knob the shard-scaling benchmark
-        #: turns (0.0 for functional tests: admission only, no latency)
-        self.shard_service_time = shard_service_time
         self.detector_interval = detector_interval
         self.lock_timeout = lock_timeout
         #: frame-size ceiling for both protocols (text line length /
         #: binary header length field); an oversized frame is answered
         #: with ERR FRAME_TOO_LONG and the connection survives
         self.max_frame = max_frame
-        #: False -> one drain per response (the BENCH_6 ablation knob)
-        self.coalesce_writes = coalesce_writes
         #: optional :class:`repro.faults.FaultInjector` for the
         #: ``service.frame`` / ``service.detector`` points
         self.fault_injector = None
@@ -330,7 +318,6 @@ class LockServer:
             "injected_disconnects": 0,
             "detector_delays": 0,
         }
-        self._shard_locks: List[asyncio.Lock] = []
         self._futures: Dict[LockRequest, asyncio.Future] = {}
         self._server: Optional[asyncio.AbstractServer] = None
         self._detector_task: Optional[asyncio.Task] = None
@@ -363,9 +350,6 @@ class LockServer:
     async def start(self) -> Tuple[str, int]:
         """Bind, start serving and start the detector task."""
         self._loop = asyncio.get_running_loop()
-        self._shard_locks = [
-            asyncio.Lock() for _ in range(self.manager.n_shards)
-        ]
         self._nudge = asyncio.Event()
         self._register_resources()
         self._server = await asyncio.start_server(
@@ -483,8 +467,6 @@ class LockServer:
                 return False
             if not progress:
                 return True
-            if conn.pending and not self.coalesce_writes:
-                await self._flush(conn)
 
     async def _flush(self, conn):
         """Flush queued responses as one write, recording batch stats."""
@@ -649,8 +631,8 @@ class LockServer:
 
         The session's order lock is held from frame start until the
         dispatch completes — or first waits (released in
-        ``_await_grant`` and before the modelled shard-service sleep in
-        ``_run_steps``).  Transaction state therefore mutates in
+        ``_await_grant``, and in ``_end`` while it quiesces its own
+        transaction's frames).  Transaction state therefore mutates in
         arrival order, but a waiting frame no longer blocks the frames
         queued behind it: responses are matched by correlation id, not
         position.
@@ -671,16 +653,13 @@ class LockServer:
         finally:
             session.release_order()
         self._queue_binary(conn, frame)
-        if not self.coalesce_writes:
-            await self._flush(conn)
 
     def _queue_binary(self, conn, frame: bytes):
         if frame[4] == wire.RESP_ERR:
             self.stats["errors"] += 1
         conn.out += frame
         conn.pending += 1
-        if self.coalesce_writes:
-            self._schedule_flush(conn)
+        self._schedule_flush(conn)
 
     # -- dispatch -------------------------------------------------------------
 
@@ -717,7 +696,7 @@ class LockServer:
         if verb == "UNLOCK":
             if len(tokens) != 3:
                 return "ERR BAD-FRAME UNLOCK takes two arguments"
-            return await self._unlock(conn, session, tokens[1], tokens[2])
+            return self._unlock(session, tokens[1], tokens[2])
         if verb in _PLAN_VERBS and self._accepts_mode(_PLAN_VERBS[verb]):
             if len(tokens) not in (3, 4) or (
                 len(tokens) == 4 and tokens[3].upper() != "NOWAIT"
@@ -789,7 +768,7 @@ class LockServer:
                 )
             return wire.frame_for_response(
                 corr,
-                await self._unlock_resource(
+                self._unlock_resource(
                     session,
                     name,
                     resource,
@@ -886,21 +865,17 @@ class LockServer:
         if txn is None:
             return "ERR NOTXN %s" % name
         # a pipelined END can arrive while this transaction's own lock
-        # frames are still in flight (parked, or sleeping out modelled
-        # shard latency); committing underneath them would yank the
-        # transaction out of the lock manager mid-plan.  Wait for the
-        # transaction to quiesce — and release the frame-order lock
-        # first, else this END would head-of-line-block every later
-        # frame (the next transaction's whole pipeline) while it waits
-        # on its own stragglers.
+        # frames are still in flight (parked on a lock wait); committing
+        # underneath them would yank the transaction out of the lock
+        # manager mid-plan.  Wait for the transaction to quiesce — and
+        # release the frame-order lock first, else this END would
+        # head-of-line-block every later frame (the next transaction's
+        # whole pipeline) while it waits on its own stragglers.
         if session.inflight.get(name):
             session.release_order()
             await session.quiesce(name)
-        # commit mutates synchronously (no awaits), so it needs no shard
-        # mutex: nothing can observe a half-released transaction.  Not
-        # taking the all-shards barrier here keeps EOT off the admission
-        # path — it was the scaling bottleneck when every transaction's
-        # END drained all N shard mutexes.
+        # commit mutates synchronously (no awaits): nothing can observe
+        # a half-released transaction
         try:
             self.stack.txns.commit(txn)
         except TransactionError:
@@ -915,34 +890,26 @@ class LockServer:
             session.txns.pop(name, None)
         return "OK ENDED %s" % name
 
-    async def _unlock(
-        self, conn, session: _Session, name: str, path: str
-    ) -> str:
+    def _unlock(self, session: _Session, name: str, path: str) -> str:
         txn = self._live_txn(session, name)
         if txn is None:
             return "ERR NOTXN %s" % name
         resource, err = self._parse_resource(path)
         if err is not None:
             return err
-        return await self._unlock_resource(session, name, resource, path)
+        return self._unlock_resource(session, name, resource, path)
 
-    async def _unlock_resource(
+    def _unlock_resource(
         self, session: _Session, name: str, resource: tuple, path: str
     ) -> str:
         txn = self._live_txn(session, name)
         if txn is None:
             return "ERR NOTXN %s" % name
-        session.begin_frame(name)
         try:
-            shard = self.manager.shard_of(resource)
-            async with self._shard_locks[shard]:
-                try:
-                    self.manager.release(txn, resource)
-                except LockError:
-                    return "ERR NOT-HELD %s %s" % (name, path)
-            return "OK RELEASED %s %s" % (name, path)
-        finally:
-            session.end_frame(name)
+            self.manager.release(txn, resource)
+        except LockError:
+            return "ERR NOT-HELD %s %s" % (name, path)
+        return "OK RELEASED %s %s" % (name, path)
 
     async def _lock(
         self,
@@ -1018,88 +985,62 @@ class LockServer:
             conn, session, txn, name, spec, steps, nowait
         )
 
-    # -- plan execution under shard mutexes -----------------------------------
+    # -- plan execution -------------------------------------------------------
 
     async def _run_steps(
         self, conn, session: _Session, txn, name: str, what: str, steps, nowait
     ) -> str:
-        """Acquire an ordered plan, one shard run at a time.
+        """Acquire an ordered plan: one synchronous manager pass, resumed
+        after every wait.
 
-        Holds exactly one shard mutex at any moment; a WAITING tail
-        releases every mutex and parks on a future resolved by
-        ``on_wake`` (grant), the detector (deadlock victim) or the
-        timeout path (cancel + ERR TIMEOUT, earlier prefix stays held —
-        the client chooses between retry and END).
+        ``acquire_many`` stops at the first step that blocks and returns
+        it WAITING as its last element; the frame then parks on a future
+        resolved by ``on_wake`` (grant), the detector (deadlock victim)
+        or the timeout path (cancel + ERR TIMEOUT, earlier prefix stays
+        held — the client chooses between retry and END).  Once granted,
+        the pass resumes with the steps after the blocked one, so every
+        step is covered or granted when ``OK GRANTED`` is written.
         """
         session.begin_frame(name)
         try:
-            return await self._run_steps_inner(
-                conn, session, txn, name, what, steps, nowait
-            )
-        finally:
-            session.end_frame(name)
-
-    async def _run_steps_inner(
-        self, conn, session: _Session, txn, name: str, what: str, steps, nowait
-    ) -> str:
-        submitted = 0
-        run: List[Tuple[tuple, LockMode]] = []
-        run_shard = -1
-        plan = list(steps)
-        plan.append((None, None))  # sentinel flushes the last run
-        for resource, mode in plan:
-            shard = (
-                self.manager.shard_of(resource) if resource is not None else -2
-            )
-            if shard != run_shard and run:
-                fault = False
-                granted: List[LockRequest] = []
-                async with self._shard_locks[run_shard]:
-                    try:
-                        granted = self.manager.acquire_many(
-                            txn, run, long=txn.long, wait=not nowait
-                        )
-                    except LockConflictError as exc:
-                        return "ERR CONFLICT %s %s" % (
-                            name,
-                            "/".join(str(p) for p in exc.resource),
-                        )
-                    except LockTimeoutError:
-                        # an injected mid-batch timeout: the prefix stays
-                        # granted, the client decides between retry / END
-                        self.stats["timeouts"] += 1
-                        return "ERR TIMEOUT %s %s" % (name, what)
-                    except FaultInjected:
-                        fault = True  # abort outside this shard's mutex
-                    else:
-                        submitted += len(granted)
-                        if self.shard_service_time and granted:
-                            # the modelled shard latency is a wait, not
-                            # event-loop work: release the frame-order
-                            # lock so later pipelined frames overlap it
-                            session.release_order()
-                            await asyncio.sleep(
-                                self.shard_service_time * len(granted)
-                            )
-                if fault:
+            submitted = 0
+            while steps:
+                try:
+                    requests = self.manager.acquire_many(
+                        txn, steps, long=txn.long, wait=not nowait
+                    )
+                except LockConflictError as exc:
+                    return "ERR CONFLICT %s %s" % (
+                        name,
+                        "/".join(str(p) for p in exc.resource),
+                    )
+                except LockTimeoutError:
+                    # an injected mid-batch timeout: the prefix stays
+                    # granted, the client decides between retry / END
+                    self.stats["timeouts"] += 1
+                    return "ERR TIMEOUT %s %s" % (name, what)
+                except FaultInjected:
                     # an injected fault (error or abort action) during
                     # the batch: abort the transaction — the universal
                     # cleaner — and report; the session entry goes too
                     self._abort_txn(txn)
                     session.txns.pop(name, None)
                     return "ERR FAULT %s %s" % (name, what)
-                if granted and not granted[-1].granted:
-                    outcome = await self._await_grant(
-                        conn, session, name, granted[-1]
-                    )
-                    if outcome is not None:
-                        return outcome
-                run = []
-            if resource is None:
-                break
-            run_shard = shard
-            run.append((resource, mode))
-        return "OK GRANTED %s %s steps=%d" % (name, what, submitted)
+                submitted += len(requests)
+                if not requests or requests[-1].granted:
+                    break
+                blocked = requests[-1]
+                outcome = await self._await_grant(conn, session, name, blocked)
+                if outcome is not None:
+                    return outcome
+                # a covered pair is pruned and never blocks, so the first
+                # match is the step that blocked
+                steps = steps[
+                    steps.index((blocked.resource, blocked.mode)) + 1 :
+                ]
+            return "OK GRANTED %s %s steps=%d" % (name, what, submitted)
+        finally:
+            session.end_frame(name)
 
     async def _await_grant(
         self, conn, session: _Session, name: str, request
@@ -1123,10 +1064,8 @@ class LockServer:
             session.txns.pop(name, None)
             return "ERR DEADLOCK %s" % name
         except asyncio.TimeoutError:
-            shard = self.manager.shard_of(request.resource)
-            async with self._shard_locks[shard]:
-                if request.status == RequestStatus.WAITING:
-                    self.manager.cancel(request)
+            if request.status == RequestStatus.WAITING:
+                self.manager.cancel(request)
             if request.granted:
                 return None  # granted in the race window: keep it
             self.stats["timeouts"] += 1
@@ -1149,9 +1088,9 @@ class LockServer:
             except asyncio.TimeoutError:
                 pass
             self._nudge.clear()
-            await self._detector_pass()
+            self._detector_pass()
 
-    async def _detector_pass(self):
+    def _detector_pass(self):
         if self.fault_injector is not None:
             try:
                 self.fault_injector.fire("service.detector")
@@ -1161,18 +1100,14 @@ class LockServer:
                 # are found late, never lost
                 self.stats["detector_delays"] += 1
                 return
-        await self._all_shards_acquire()
-        try:
-            while True:
-                cycle = self.manager.detect_deadlock()
-                if cycle is None:
-                    return
-                victim = self.manager.detector.pick_victim(cycle)
-                self.stats["deadlock_victims"] += 1
-                self._fail_victim_futures(victim, cycle)
-                self._abort_txn(victim)
-        finally:
-            self._all_shards_release()
+        while True:
+            cycle = self.manager.detect_deadlock()
+            if cycle is None:
+                return
+            victim = self.manager.detector.pick_victim(cycle)
+            self.stats["deadlock_victims"] += 1
+            self._fail_victim_futures(victim, cycle)
+            self._abort_txn(victim)
 
     def _fail_victim_futures(self, victim, cycle):
         names = tuple(getattr(txn, "name", repr(txn)) for txn in cycle)
@@ -1187,7 +1122,6 @@ class LockServer:
                 )
 
     def _abort_txn(self, txn):
-        # like commit: a synchronous mutation, no shard mutex needed
         for request in self.manager.table.waiting_requests_of(txn):
             self.manager.cancel(request)
         # bounded retry: an injected fault can raise during the abort;
@@ -1199,16 +1133,6 @@ class LockServer:
             except Exception:
                 if attempt == 2:
                     raise
-
-    async def _all_shards_acquire(self):
-        # ascending shard order: the one global mutex order, so two
-        # multi-shard operations can never deadlock on the mutexes
-        for mutex in self._shard_locks:
-            await mutex.acquire()
-
-    def _all_shards_release(self):
-        for mutex in reversed(self._shard_locks):
-            mutex.release()
 
     # -- resources and stats --------------------------------------------------
 

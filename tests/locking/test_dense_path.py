@@ -19,7 +19,6 @@ from repro.locking._densecore import (
     supremum_code,
 )
 from repro.locking.dense import (
-    DENSE_CORE,
     DenseLockTable,
     DenseSteps,
     core,
@@ -118,8 +117,7 @@ class TestDenseKernels:
         assert count_compatible(held, X.code, COMPAT_FLAT, N_MODES) == 0
 
     def test_core_flavor_selected(self):
-        assert DENSE_CORE in ("python", "compiled")
-        # whichever flavour won the import race, the kernel surface is there
+        # dense.py re-exports the kernel module the protocol filters with
         assert core.filter_uncovered([0], [X.code], None, COVERS_FLAT, N_MODES) == [0]
 
 
@@ -364,7 +362,4 @@ class TestProtocolStackEquivalence:
         dense.protocol.request(dense.txns.begin(principal="u"), cell, IS)
         metrics = dense.protocol.metrics()
         assert metrics["use_dense_path"] is True
-        assert metrics["dense_core"] == DENSE_CORE
         assert "summary_rebuilds" in metrics
-        plain = repro.make_stack(*build_cells_database(figure7=True))
-        assert plain.protocol.metrics()["dense_core"] == ""

@@ -1,9 +1,9 @@
 """Pipelined dispatch semantics: in-flight frames, ordering, coalescing.
 
 The binary path dispatches each frame as an ordered task: frames begin
-in arrival order, but a frame that waits (a parked lock, modelled shard
-latency) releases the order lock so the frames behind it proceed, and
-responses are matched by correlation id.  These tests pin the three
+in arrival order, but a frame that waits (a parked lock) releases the
+order lock so the frames behind it proceed, and responses are matched
+by correlation id.  These tests pin the three
 load-bearing consequences: a parked frame does not head-of-line-block
 the pipeline, END waits for its own transaction's in-flight lock
 frames before committing, and coalesced writes batch multiple
@@ -126,26 +126,6 @@ class TestPipelinedDispatch:
             finally:
                 await piped.close()
                 await holder.close()
-                await server.stop()
-
-        asyncio.run(go())
-
-    def test_uncoalesced_server_still_pipelines(self):
-        async def go():
-            server = serve(coalesce_writes=False)
-            host, port = await server.start()
-            client = await ServiceClient(
-                host, port, binary=True, pipeline_depth=8
-            ).connect()
-            try:
-                futures = [await client.submit_start("t%d" % i) for i in range(6)]
-                await client.flush()
-                responses = await asyncio.gather(*futures)
-                assert responses == ["OK STARTED t%d" % i for i in range(6)]
-                for i in range(6):
-                    assert await client.end("t%d" % i) == "OK ENDED t%d" % i
-            finally:
-                await client.close()
                 await server.stop()
 
         asyncio.run(go())

@@ -10,8 +10,10 @@ must change this file.
 
 import asyncio
 
+import pytest
+
 from repro.locking.modes import COMPAT_FLAT, N_MODES, IS, IX, S, SIX, X
-from repro.service.client import ServiceClient
+from repro.service.client import ServiceClient, workload_paths
 from repro.service.server import LockServer, make_service_stack
 
 
@@ -206,6 +208,122 @@ class TestErrorFrames:
              "OK GRANTED b db1/seg_materials/materials/m1 steps=4"),
             ("END b", "OK ENDED b"),
         ])
+
+
+MATERIALS = "db1/seg_materials/materials"
+M1 = MATERIALS + "/m1"
+
+
+def _holders(server, path):
+    holders = server.manager.holders(tuple(path.split("/")))
+    return {txn.name: mode for txn, mode in holders.items()}
+
+
+def _same_shard_pair(manager):
+    """Two object paths ``manager`` routes to one shard."""
+    seen = {}
+    for path in workload_paths("partlib"):
+        shard = manager.shard_of(tuple(path.split("/")))
+        if shard in seen:
+            return seen[shard], path
+        seen[shard] = path
+
+
+@pytest.mark.parametrize("binary", [False, True], ids=["text", "binary"])
+@pytest.mark.parametrize("shards", [1, 4])
+class TestResumeAfterWait:
+    """A plan that waits mid-way resumes with the steps after the
+    blocked one: ``OK GRANTED`` means every step is covered or granted,
+    whichever shard the blocked step and its successors live on."""
+
+    @staticmethod
+    def _serve(shards, binary, scenario):
+        async def go():
+            server = LockServer(
+                make_service_stack("partlib", shards=shards), port=0
+            )
+            host, port = await server.start()
+            clients = [
+                await ServiceClient(host, port, binary=binary).connect()
+                for _ in range(3)
+            ]
+            try:
+                await scenario(server, *clients)
+            finally:
+                for client in clients:
+                    await client.close()
+                await server.stop()
+
+        asyncio.run(go())
+
+    @staticmethod
+    async def _parked(server, task, waits):
+        """Wait until the server has queued its ``waits``-th request."""
+        for _ in range(200):
+            if server.manager.metrics()["waits"] >= waits:
+                break
+            await asyncio.sleep(0.01)
+        assert server.manager.metrics()["waits"] == waits
+        assert not task.done()
+
+    def test_blocked_intention_step_still_reaches_the_object(
+        self, shards, binary
+    ):
+        async def scenario(server, a, b, c):
+            assert await a.start("t1") == "OK STARTED t1"
+            assert await a.slock("t1", MATERIALS) == (
+                "OK GRANTED t1 %s steps=3" % MATERIALS
+            )
+            assert await b.start("t2") == "OK STARTED t2"
+            # IX on the relation parks behind t1's S; X on m1 follows it
+            waiting = asyncio.ensure_future(b.xlock("t2", M1))
+            await self._parked(server, waiting, 1)
+            assert await a.end("t1") == "OK ENDED t1"
+            assert await asyncio.wait_for(waiting, 2.0) == (
+                "OK GRANTED t2 %s steps=4" % M1
+            )
+            assert _holders(server, M1) == {"t2": X}
+            assert await c.start("t3") == "OK STARTED t3"
+            assert await c.xlock("t3", M1, nowait=True) == (
+                "ERR CONFLICT t3 %s" % M1
+            )
+
+        self._serve(shards, binary, scenario)
+
+    @pytest.mark.parametrize("waits", [1, 2])
+    def test_steps_after_a_blocked_one_on_its_shard(
+        self, shards, binary, waits
+    ):
+        """``first:X,second:X`` routed to one shard with ``first`` held
+        by t1 — and, for two waits, ``second`` by t3, the holders ending
+        one after the other."""
+
+        async def scenario(server, a, b, c):
+            first, second = _same_shard_pair(server.manager)
+            await a.start("t1")
+            await a.acquire_many("t1", [(first, "X")])
+            if waits == 2:
+                await c.start("t3")
+                await c.acquire_many("t3", [(second, "X")])
+            await b.start("t2")
+            waiting = asyncio.ensure_future(
+                b.acquire_many("t2", [(first, "X"), (second, "X")])
+            )
+            await self._parked(server, waiting, 1)
+            assert await a.end("t1") == "OK ENDED t1"
+            if waits == 2:
+                await self._parked(server, waiting, 2)
+                assert _holders(server, first) == {"t2": X}
+                assert await c.end("t3") == "OK ENDED t3"
+            assert await asyncio.wait_for(waiting, 2.0) == (
+                "OK GRANTED t2 %s:X,%s:X steps=2" % (first, second)
+            )
+            assert _holders(server, first) == {"t2": X}
+            assert _holders(server, second) == {"t2": X}
+            # no counter moved for a step that was already granted
+            assert server.manager.metrics()["requests"] == 2 + waits
+
+        self._serve(shards, binary, scenario)
 
 
 class TestCompatibilityMatrixOverTheWire:
