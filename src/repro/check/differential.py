@@ -26,6 +26,7 @@ ablation paths, must tell one coherent story:
 from __future__ import annotations
 
 import contextlib
+import itertools
 from collections import OrderedDict
 from typing import Dict, Optional, Sequence
 
@@ -333,6 +334,43 @@ def semantic_modes_fingerprints(
     return fingerprints
 
 
+#: What the components of one schedule's fingerprint are
+#: (:meth:`ScheduleResult.fingerprint` with the trace folded in).
+_FINGERPRINT_PARTS = ("choices", "outcomes", "data ops", "final state", "lock trace")
+
+
+def _first_difference(ours, theirs):
+    """``(index, ours[index], theirs[index])`` where two unequal sequences
+    first differ; the shorter one reads ``<absent>`` past its end."""
+    for index, (a, b) in enumerate(
+        itertools.zip_longest(ours, theirs, fillvalue="<absent>")
+    ):
+        if a != b:
+            return index, a, b
+    raise ValueError("sequences are equal")
+
+
+def _both_sequences(ours, theirs) -> bool:
+    return isinstance(ours, (tuple, list)) and isinstance(theirs, (tuple, list))
+
+
+def _describe_divergence(base_label, base, label, fingerprint) -> str:
+    """Name the first schedule two exploration fingerprints disagree on,
+    and the outcome / data-op / trace element that differs in it."""
+    position, ours, theirs = _first_difference(base, fingerprint)
+    where = "schedule #%d" % position
+    if _both_sequences(ours, theirs):
+        where += " (choices %r)" % (ours[0],)
+        part, ours, theirs = _first_difference(ours, theirs)
+        where += ", " + _FINGERPRINT_PARTS[part]
+        if _both_sequences(ours, theirs):
+            index, ours, theirs = _first_difference(ours, theirs)
+            where += "[%d]" % index
+    return "%s: %r under %s but %r under %s" % (
+        where, ours, base_label, theirs, label
+    )
+
+
 def assert_ablations_agree(fingerprints: Dict[str, tuple]) -> int:
     """All ablation fingerprints must be identical; returns schedule count."""
     items = list(fingerprints.items())
@@ -341,8 +379,15 @@ def assert_ablations_agree(fingerprints: Dict[str, tuple]) -> int:
         if fingerprint != base:
             raise CheckError(
                 "ablation paths diverge: %s explored %d schedules, %s "
-                "explored %d — the optimizations are observable"
-                % (base_label, len(base), label, len(fingerprint))
+                "explored %d — the optimizations are observable; first "
+                "difference at %s"
+                % (
+                    base_label,
+                    len(base),
+                    label,
+                    len(fingerprint),
+                    _describe_divergence(base_label, base, label, fingerprint),
+                )
             )
     return len(base)
 

@@ -45,7 +45,12 @@ from repro.verify import audit_step
 #: entry-point visibility obligation is deliberately *not* in here: it is
 #: an obligation only of protocols that claim implicit reference cover,
 #: so the explorer adds it per protocol (see repro.check.differential).
-DEFAULT_STEP_RULES = ("compatibility", "waiting-consistency", "deadlock-verdict")
+DEFAULT_STEP_RULES = (
+    "compatibility",
+    "waiting-consistency",
+    "deadlock-verdict",
+    "group-mode",
+)
 
 
 class _Slot:
@@ -177,7 +182,9 @@ class ScheduleRun:
         self.choices.append(index)
         try:
             self._advance(slot)
-        except CheckError:
+        except (CheckError, AttributeError, TypeError, NameError):
+            # an explorer error, or a programming error in the code under
+            # test — never a data, protocol or authorization failure
             raise
         except Exception as exc:
             # A data/protocol/authorization failure aborts the transaction;

@@ -132,7 +132,10 @@ class DeadlockDetector:
     cycle can only be closed by a new wait edge, so if the graph was
     acyclic before that wait, every cycle now runs through the waiter:
     "can the waiter reach itself?" decides acyclicity at a cost
-    proportional to what the waiter can reach instead of to the table.
+    proportional to what the waiter can reach instead of to the table —
+    and at the cost of reading the waiter's own entries when nobody waits
+    for it (``table.is_waited_for``): a transaction with no incoming edge
+    is on no cycle, so the search is not started.
     That argument needs every transaction to have at most one outstanding
     request and blocked transactions to stay passive (then grants,
     releases and cancellations cannot close a cycle), and it needs the
@@ -223,7 +226,10 @@ class DeadlockDetector:
         return cycle
 
     def _reaches_itself(self, waiter) -> bool:
-        """Is ``waiter`` on a waits-for cycle?  DFS over what it can reach."""
+        """Is ``waiter`` on a waits-for cycle?  DFS over what it can reach,
+        unless nobody waits for it: no edge in, no cycle through it."""
+        if not self._lock_table.is_waited_for(waiter):
+            return False
         blockers_of = self._lock_table.blockers_of
         seen = set()
         stack = [waiter]

@@ -10,8 +10,6 @@ LockTable` whose hot loops run on dense integers instead of objects:
   (txn -> {resource-id: mode code}), so batched pruning and compiled-plan
   filtering are int-dict probes plus one flat ``bytes`` subscript — no
   tuple hashing, no enum members;
-* the innermost grant/compat scans read ``_HeldLock.code`` against the
-  flat compatibility table of :mod:`repro.locking.modes`;
 * ``_HeldLock`` and resource-entry records are pooled on a freelist
   (``pool_records``) to kill the per-request allocation churn;
 * the int kernels live in :mod:`repro.locking._densecore`.
@@ -43,7 +41,6 @@ from repro.locking.lock_table import (
     _ResourceEntry,
 )
 from repro.locking.modes import (
-    COMPAT_FLAT,
     COVERS_FLAT,
     MODES_BY_CODE,
     N_MODES,
@@ -134,7 +131,7 @@ class DenseLockTable(LockTable):
 
     def _retire_held(self, held: _HeldLock):
         if self.pool_records and len(self._held_pool) < _POOL_MAX:
-            # release_all retires without popping; scrub before reuse
+            # a dropped grant is retired as it stood; scrub before reuse
             held.modes.clear()
             held.mode = None
             held.code = -1
@@ -161,40 +158,6 @@ class DenseLockTable(LockTable):
     def _summary_clear(self, txn):
         super()._summary_clear(txn)
         self._txn_codes.pop(txn, None)
-
-    # -- int grant scans -----------------------------------------------------
-    #
-    # Same outcomes and the same conflict_tests accounting as the object
-    # scans (one test per examined holder, the failing one included);
-    # inherited callers (_submit, _process_queue) pick these up virtually.
-
-    def _conversion_grantable(self, entry, txn, target: LockMode) -> bool:
-        compat = COMPAT_FLAT
-        code = target.code
-        tested = 0
-        for other, held in entry.granted.items():
-            if other == txn:
-                continue
-            tested += 1
-            if not compat[held.code * N_MODES + code]:
-                self.conflict_tests += tested
-                return False
-        self.conflict_tests += tested
-        return True
-
-    def _new_grantable(self, entry, txn, mode: LockMode) -> bool:
-        if (entry.conversions or entry.queue) and not self.reader_bypass:
-            return False
-        compat = COMPAT_FLAT
-        code = mode.code
-        tested = 0
-        for held in entry.granted.values():
-            tested += 1
-            if not compat[held.code * N_MODES + code]:
-                self.conflict_tests += tested
-                return False
-        self.conflict_tests += tested
-        return True
 
     # -- the dense batched pass ----------------------------------------------
 

@@ -9,7 +9,11 @@ detector consumes.
 
 Counting conventions (used by the benchmarks):
 
-* ``conflict_tests`` — every evaluation of the compatibility matrix;
+* ``conflict_tests`` — holders a sequential compatibility scan examines
+  (the paper-facing cost model): every other holder for a grant, up to
+  and including the first incompatible one for a refusal.  The table
+  decides a grant from the entry's group mode and adds the count such a
+  scan would have made;
 * ``requests`` / ``immediate_grants`` / ``waits`` — request outcomes;
 * ``max_entries`` — high-water mark of lock-table size (the paper's
   "administration of locks" overhead).
@@ -18,11 +22,14 @@ Counting conventions (used by the benchmarks):
 from __future__ import annotations
 
 from collections import OrderedDict, deque
+from itertools import repeat
 from typing import Deque, Dict, Iterable, List, Optional, Sequence, Set, Tuple
 
 from repro.errors import LockConflictError, LockError
 from repro.locking.modes import (
     COMPAT_FLAT,
+    CONFLICT_MASK,
+    HELD_UNIT,
     N_MODES,
     LockMode,
     compatible,
@@ -90,8 +97,8 @@ class _HeldLock:
         self.modes: List[LockMode] = []
         self.long = False
         self.mode: Optional[LockMode] = None
-        #: dense int twin of ``mode`` (-1 when nothing is held), kept in
-        #: lockstep so the dense grant loop never touches enum members
+        #: int twin of ``mode`` (-1 when nothing is held), kept in
+        #: lockstep: the entry's group mode counts holders by it
         self.code = -1
 
     def push(self, mode: LockMode, long: bool):
@@ -100,13 +107,10 @@ class _HeldLock:
         self.code = self.mode.code
         self.long = self.long or long
 
-    def pop(self) -> bool:
-        """Drop the most recent grant; returns True when fully released."""
+    def pop(self):
+        """Drop the most recent of several grants (the last one leaves
+        with the whole record: ``LockTable._drop_grant``)."""
         self.modes.pop()
-        if not self.modes:
-            self.mode = None
-            self.code = -1
-            return True
         # Releases may shrink the supremum; refold over what remains (the
         # rare path — pushes dominate).
         effective = self.modes[0]
@@ -114,15 +118,21 @@ class _HeldLock:
             effective = supremum(effective, m)
         self.mode = effective
         self.code = effective.code
-        return False
 
 
 class _ResourceEntry:
-    __slots__ = ("granted", "conversions", "queue", "version", "waits_cache")
+    __slots__ = (
+        "granted", "held", "conversions", "queue", "version", "waits_cache"
+    )
 
     def __init__(self):
         # txn -> _HeldLock, in grant order (OrderedDict for determinism)
         self.granted: "OrderedDict[object, _HeldLock]" = OrderedDict()
+        #: the group mode: holders of ``granted`` counted per mode code,
+        #: packed as ``sum(HELD_UNIT[held.code])`` (see repro.locking.modes).
+        #: Updated inline wherever a held mode changes — the grant tests
+        #: read it instead of walking ``granted``.
+        self.held = 0
         # conversion requests take priority over new requests
         self.conversions: Deque[LockRequest] = deque()
         self.queue: Deque[LockRequest] = deque()
@@ -350,6 +360,7 @@ class LockTable:
                 self.immediate_grants += 1
                 return request
             if self._conversion_grantable(entry, txn, target):
+                entry.held += HELD_UNIT[target.code] - HELD_UNIT[held.code]
                 held.push(mode, long)
                 self._summary_set(txn, resource, held.mode)
                 self._touch(entry)
@@ -406,16 +417,15 @@ class LockTable:
         if entry is None or txn not in entry.granted:
             raise LockError("%r holds no lock on %r" % (txn, resource))
         held = entry.granted[txn]
-        if held.pop():
-            del entry.granted[txn]
-            owned = self._txn_resources.get(txn)
-            if owned is not None:
-                owned.pop(resource, None)
-            self._summary_drop(txn, resource)
-            self._retire_held(held)
+        if len(held.modes) == 1:
+            self._drop_grant(entry, txn, resource, held)
         else:
-            # A counted release may shrink the supremum: the summary must
-            # follow, or batched pruning would trust a stale stronger mode.
+            # A counted release may shrink the supremum: the group mode and
+            # the summary must follow, or batched pruning would trust a
+            # stale stronger mode.
+            before = held.code
+            held.pop()
+            entry.held += HELD_UNIT[held.code] - HELD_UNIT[before]
             self._summary_set(txn, resource, held.mode)
         self._touch(entry)
         woken = self._process_queue(entry)
@@ -460,10 +470,7 @@ class LockTable:
             return []
         held = entry.granted.get(txn)
         if held is not None and not (keep_long and held.long):
-            del entry.granted[txn]
-            self._txn_resources[txn].pop(resource, None)
-            self._summary_drop(txn, resource)
-            self._retire_held(held)
+            self._drop_grant(entry, txn, resource, held)
             self._touch(entry)
         self._cancel_waiting(entry, txn)
         woken = self._process_queue(entry)
@@ -567,54 +574,133 @@ class LockTable:
         edges: List[Tuple[object, object]] = []
         blockers: Dict[LockRequest, List[object]] = {}
         compat = COMPAT_FLAT
-        # (txn, row offset of its mode in the flat compatibility table)
-        holders = [(txn, held.code * N_MODES) for txn, held in entry.granted.items()]
-        ahead = []
-        for request in entry.conversions:
-            waiter = request.txn
-            code = request.target_mode.code
-            mine = [
-                txn
-                for txn, row in holders
-                if not compat[row + code] and txn != waiter
-            ]
-            blockers[request] = mine
-            edges.extend([(waiter, txn) for txn in mine])
-            ahead.append((waiter, code * N_MODES))
-        for request in entry.queue:
-            waiter = request.txn
-            code = request.target_mode.code
-            mine = [
-                txn
-                for waiting_for in (holders, ahead)
-                for txn, row in waiting_for
-                if not compat[row + code]
-            ]
-            blockers[request] = mine
-            edges.extend([(waiter, txn) for txn in mine])
-            ahead.append((waiter, code * N_MODES))
+        # Waiters for one mode code share their blockers: the holders
+        # incompatible with that code (found once per distinct code) and,
+        # for a queued request, the incompatible waiters ahead of it (one
+        # running list per code, fed as the walk passes each waiter).
+        granted = entry.granted
+        group = entry.held
+        holding: Dict[int, List[object]] = {}
+        ahead: Dict[int, List[object]] = {
+            request.target_mode.code: [] for request in entry.queue
+        }
+        # waiter's code -> the running lists of the codes it blocks
+        feeds: Dict[int, List[List[object]]] = {}
+        for requests, queued in ((entry.conversions, False), (entry.queue, True)):
+            for request in requests:
+                waiter = request.txn
+                code = request.target_mode.code
+                mine = holding.get(code)
+                if mine is None:
+                    mine = holding[code] = (
+                        [
+                            txn
+                            for txn, held in granted.items()
+                            if not compat[held.code * N_MODES + code]
+                        ]
+                        if group & CONFLICT_MASK[code]
+                        else []
+                    )
+                if queued:
+                    mine = mine + ahead[code]
+                else:
+                    # a conversion does not wait for its own hold
+                    mine = [txn for txn in mine if txn != waiter]
+                blockers[request] = mine
+                edges.extend(zip(repeat(waiter), mine))
+                fed = feeds.get(code)
+                if fed is None:
+                    row = code * N_MODES
+                    fed = feeds[code] = [
+                        waiters
+                        for behind, waiters in ahead.items()
+                        if not compat[row + behind]
+                    ]
+                for waiters in fed:
+                    waiters.append(waiter)
         cached = entry.waits_cache = (entry.version, edges, blockers)
         return cached
 
+    def is_waited_for(self, txn) -> bool:
+        """Does any waits-for edge end in ``txn``?
+
+        ``any(dst == txn for _, dst in waits_for_edges())``, read off the
+        entries ``txn`` holds (a waiter whose target mode its hold
+        conflicts with) and the queues behind its own waiting requests —
+        no blocker list is built.  A transaction nobody waits for is on no
+        cycle, which is all the deadlock detector asks.
+        """
+        compat = COMPAT_FLAT
+        entries = self._entries
+        for resource in self._txn_resources.get(txn, ()):
+            entry = entries[resource]
+            if not (entry.conversions or entry.queue):
+                continue
+            row = entry.granted[txn].code * N_MODES
+            for request in entry.conversions:
+                if request.txn != txn and not compat[row + request.target_mode.code]:
+                    return True
+            for request in entry.queue:
+                if not compat[row + request.target_mode.code]:
+                    return True
+        for waiting in self._txn_waiting.get(txn, ()):
+            row = waiting.target_mode.code * N_MODES
+            entry = entries[waiting.resource]
+            # FIFO: every queued request behind ``waiting`` also waits for
+            # it — all of ``queue`` for a conversion, else the tail after it
+            behind = waiting in entry.conversions
+            for request in entry.queue:
+                if behind:
+                    if not compat[row + request.target_mode.code]:
+                        return True
+                elif request is waiting:
+                    behind = True
+        return False
+
     # -- internals -------------------------------------------------------------
 
+    # The one grant test: a mode is compatible with every other holder iff
+    # the entry's group mode has no holder in a conflicting field.
+    # ``conflict_tests`` advances by what a sequential scan of ``granted``
+    # would have examined — every other holder on a grant, and on a
+    # refusal the (then really walked) prefix up to the first incompatible
+    # one.
+
     def _conversion_grantable(self, entry, txn, target: LockMode) -> bool:
+        """Is ``target`` compatible with every holder other than ``txn``?"""
+        others = entry.held
+        examined = len(entry.granted)
+        own = entry.granted.get(txn)
+        if own is not None:
+            others -= HELD_UNIT[own.code]
+            examined -= 1
+        if not others & CONFLICT_MASK[target.code]:
+            self.conflict_tests += examined
+            return True
+        self.conflict_tests += self._refusal_cost(entry, txn, target)
+        return False
+
+    def _new_grantable(self, entry, txn, mode: LockMode) -> bool:
+        """May ``txn``, holding nothing here, be granted ``mode`` now?"""
+        if (entry.conversions or entry.queue) and not self.reader_bypass:
+            return False
+        if not entry.held & CONFLICT_MASK[mode.code]:
+            self.conflict_tests += len(entry.granted)
+            return True
+        self.conflict_tests += self._refusal_cost(entry, txn, mode)
+        return False
+
+    def _refusal_cost(self, entry, txn, mode: LockMode) -> int:
+        """Holders other than ``txn`` up to the first one incompatible
+        with ``mode``, that one included."""
+        examined = 0
         for other, held in entry.granted.items():
             if other == txn:
                 continue
-            self.conflict_tests += 1
-            if not compatible(held.mode, target):
-                return False
-        return True
-
-    def _new_grantable(self, entry, txn, mode: LockMode) -> bool:
-        if (entry.conversions or entry.queue) and not self.reader_bypass:
-            return False
-        for other, held in entry.granted.items():
-            self.conflict_tests += 1
+            examined += 1
             if not compatible(held.mode, mode):
-                return False
-        return True
+                break
+        return examined
 
     # -- allocation and summary hooks (overridden by the dense table) --------
 
@@ -656,12 +742,28 @@ class LockTable:
         self._txn_modes.pop(txn, None)
         self.summary_version += 1
 
+    def _drop_grant(self, entry, txn, resource, held: _HeldLock):
+        """Take ``txn``'s whole grant ``held`` on ``resource`` out of the
+        table: the one way a holder leaves ``entry.granted``."""
+        del entry.granted[txn]
+        entry.held -= HELD_UNIT[held.code]
+        owned = self._txn_resources.get(txn)
+        if owned is not None:
+            owned.pop(resource, None)
+        self._summary_drop(txn, resource)
+        self._retire_held(held)
+
     def _grant(self, entry, request: LockRequest):
         held = entry.granted.get(request.txn)
         if held is None:
             held = self._new_held()
             entry.granted[request.txn] = held
-        held.push(request.mode, request.long)
+            held.push(request.mode, request.long)
+            entry.held += HELD_UNIT[held.code]
+        else:
+            before = held.code
+            held.push(request.mode, request.long)
+            entry.held += HELD_UNIT[held.code] - HELD_UNIT[before]
         request.status = RequestStatus.GRANTED
         self._txn_resources.setdefault(request.txn, {})[request.resource] = None
         self._summary_set(request.txn, request.resource, held.mode)
@@ -670,7 +772,8 @@ class LockTable:
     def _process_queue(self, entry) -> List[LockRequest]:
         """Grant now-compatible waiters; conversions first, then FIFO."""
         woken: List[LockRequest] = []
-        progressed = True
+        # nobody waiting (every uncontended release): nothing to wake
+        progressed = bool(entry.conversions or entry.queue)
         while progressed:
             progressed = False
             for request in list(entry.conversions):
@@ -686,6 +789,7 @@ class LockTable:
                 request.target_mode = target
                 if self._conversion_grantable(entry, request.txn, target):
                     entry.conversions.remove(request)
+                    entry.held += HELD_UNIT[target.code] - HELD_UNIT[held.code]
                     held.push(request.mode, request.long)
                     self._summary_set(request.txn, request.resource, held.mode)
                     request.status = RequestStatus.GRANTED
@@ -695,15 +799,9 @@ class LockTable:
                     progressed = True
             while entry.queue and not entry.conversions:
                 request = entry.queue[0]
-                grantable = True
-                for other, held in entry.granted.items():
-                    if other == request.txn:
-                        continue
-                    self.conflict_tests += 1
-                    if not compatible(held.mode, request.target_mode):
-                        grantable = False
-                        break
-                if not grantable:
+                if not self._conversion_grantable(
+                    entry, request.txn, request.target_mode
+                ):
                     break
                 entry.queue.popleft()
                 self._dequeue_wait(request)

@@ -333,6 +333,29 @@ SUP_FLAT = bytes(
     _SUP_TABLE[a][b].code for a in range(N_MODES) for b in range(N_MODES)
 )
 
+# The *group mode* of a resource entry: how many transactions hold it in
+# each mode, packed into one int as ``N_MODES`` fields of ``HELD_BITS``
+# bits (field ``c`` counts the holders whose effective mode has code
+# ``c``).  A request is compatible with every holder iff no field its
+# mode conflicts with is non-zero — ``held & CONFLICT_MASK[code] == 0`` —
+# so a grant is decided without walking the holders.  2**24 holders of
+# one mode on one resource is out of reach of an in-memory table.
+HELD_BITS = 24
+
+#: ``HELD_UNIT[code]``: one holder in mode ``code``.
+HELD_UNIT = tuple(1 << (code * HELD_BITS) for code in range(N_MODES))
+
+#: ``CONFLICT_MASK[code]``: the count fields of every held mode a request
+#: for ``code`` is incompatible with (column ``code`` of the table above).
+CONFLICT_MASK = tuple(
+    sum(
+        ((1 << HELD_BITS) - 1) << (held * HELD_BITS)
+        for held in range(N_MODES)
+        if not _COMPAT_TABLE[held][requested]
+    )
+    for requested in range(N_MODES)
+)
+
 
 def compatible(held: LockMode, requested: LockMode) -> bool:
     """Can ``requested`` be granted while another txn holds ``held``?"""

@@ -173,6 +173,10 @@ class _AggregateTable:
             blockers.extend(shard.blockers_of(txn))
         return blockers
 
+    def is_waited_for(self, txn) -> bool:
+        """Does any edge of the union graph end in ``txn``?"""
+        return any(shard.is_waited_for(txn) for shard in self._shards)
+
     # -- summed counters ------------------------------------------------------
 
     @property

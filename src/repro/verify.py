@@ -19,7 +19,10 @@ every violation of the invariants the paper's correctness rests on:
    summary must mirror the authoritative object-keyed one exactly;
 6. **deadlock verdict** — while the wait graph has not moved since the
    detector last answered "acyclic" (possibly from a search rooted at one
-   waiter), the reference full pass must find no cycle either.
+   waiter), the reference full pass must find no cycle either;
+7. **group mode** — every resource entry's packed per-mode holder counts
+   (what the lock table decides grants from) equal a recount of its
+   holders, and a pooled entry counts nobody.
 
 The auditor is intentionally protocol-agnostic: run it against a baseline
 (e.g. ``NaiveDAGUnsafeProtocol``) and it *finds* the paper's problem —
@@ -37,7 +40,15 @@ from repro.graphs.units import (
     relation_resource,
 )
 from repro.locking.deadlock import find_cycle
-from repro.locking.modes import S, SIX, X, compatible, covers, intention_of
+from repro.locking.modes import (
+    HELD_UNIT,
+    S,
+    SIX,
+    X,
+    compatible,
+    covers,
+    intention_of,
+)
 from repro.nf2.refindex import reference_resource_parts
 from repro.nf2.values import collect_references
 
@@ -71,6 +82,7 @@ def audit(protocol) -> List[Violation]:
     violations.extend(check_waiting_consistency(protocol.manager))
     violations.extend(check_dense_state(protocol.manager))
     violations.extend(check_deadlock_verdict(protocol.manager))
+    violations.extend(check_group_mode(protocol.manager))
     violations.extend(check_indexes(protocol.catalog.database))
     violations.extend(
         check_reference_index(protocol.catalog.database, protocol.catalog)
@@ -92,6 +104,7 @@ STEP_CHECKS = {
     "deadlock-verdict": lambda protocol: check_deadlock_verdict(
         protocol.manager
     ),
+    "group-mode": lambda protocol: check_group_mode(protocol.manager),
     "index-consistency": lambda protocol: check_indexes(
         protocol.catalog.database
     ),
@@ -424,3 +437,39 @@ def check_deadlock_verdict(manager) -> List[Violation]:
             "detector answered acyclic but the full pass finds %r" % (cycle,),
         )
     ]
+
+
+def check_group_mode(manager) -> List[Violation]:
+    """Every entry's group mode must equal a recount of its holders.
+
+    The lock table answers "is this mode compatible with every holder?"
+    from ``entry.held`` alone, so a count that drifted from
+    ``entry.granted`` is a wrong grant waiting to happen.  Walks the real
+    tables behind the manager (its shards, or its one table) and their
+    entry freelists: a pooled entry is handed out as empty.
+    """
+    out: List[Violation] = []
+    for table in getattr(manager, "shards", None) or [manager.table]:
+        for resource, entry in table._entries.items():
+            recount = sum(HELD_UNIT[held.code] for held in entry.granted.values())
+            if entry.held != recount:
+                out.append(
+                    Violation(
+                        "group-mode",
+                        None,
+                        resource,
+                        "packed holder counts %#x, holders recount to %#x"
+                        % (entry.held, recount),
+                    )
+                )
+        for entry in getattr(table, "_entry_pool", ()):
+            if entry.held:
+                out.append(
+                    Violation(
+                        "group-mode",
+                        None,
+                        None,
+                        "pooled entry still counts holders: %#x" % entry.held,
+                    )
+                )
+    return out

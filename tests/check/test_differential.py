@@ -102,6 +102,20 @@ class TestAblations:
         with pytest.raises(CheckError, match="diverge"):
             assert_ablations_agree({"a": ("x",), "b": ("y",)})
 
+    def test_divergence_names_the_schedule_and_the_element(self):
+        """Two explorations of equal size that differ in one lock-trace
+        event of one schedule: the error says which, not just "5 vs 5"."""
+        same = ((0, 1), (("T1", "committed"),), (), "state", ("req", "grant"))
+        ours = ((1, 0), (("T1", "committed"),), (), "state", ("req", "grant"))
+        theirs = ours[:4] + (("req", "wait"),)
+        with pytest.raises(CheckError) as caught:
+            assert_ablations_agree(
+                {"single-table": (same, ours), "shards=4": (same, theirs)}
+            )
+        message = str(caught.value)
+        assert "schedule #1 (choices (1, 0)), lock trace[1]" in message
+        assert "'grant' under single-table but 'wait' under shards=4" in message
+
     def test_naive_mode_tables_patch_and_restore(self):
         import repro.locking.lock_table as lock_table
         import repro.verify as verify

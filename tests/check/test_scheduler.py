@@ -42,6 +42,22 @@ class TestScheduleRun:
         finally:
             run.close()
 
+    @pytest.mark.parametrize("error", [AttributeError, TypeError, NameError])
+    def test_programming_error_is_not_an_abort(self, monkeypatch, error):
+        """A bug in the code under test must stop the exploration, not be
+        filed as the transaction's outcome ``failed:AttributeError``."""
+        run = fresh("from-the-side")
+        try:
+            def broken(*args, **kwargs):
+                raise error("a bug, not a failure of the transaction")
+
+            monkeypatch.setattr(run.manager, "acquire", broken)
+            with pytest.raises(error):
+                run.step(0)
+            assert run.outcomes()["T1"] is None
+        finally:
+            run.close()
+
     def test_blocked_program_leaves_enabled_set(self):
         # Both writers target effector e2; after T1 holds its X locks,
         # stepping T2 into the conflicting demand must block it.

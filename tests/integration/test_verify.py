@@ -4,7 +4,7 @@ import pytest
 
 import repro
 from repro.graphs.units import component_resource, object_resource
-from repro.locking.modes import S, X
+from repro.locking.modes import HELD_UNIT, S, X
 from repro.nf2 import parse_path
 from repro.protocol import HerrmannProtocol, NaiveDAGUnsafeProtocol
 from repro.verify import (
@@ -12,6 +12,7 @@ from repro.verify import (
     check_compatibility,
     check_deadlock_verdict,
     check_entry_point_visibility,
+    check_group_mode,
     check_intention_chains,
     check_waiting_consistency,
 )
@@ -137,6 +138,19 @@ class TestBrokenStates:
         assert "deadlock-verdict" in {v.rule for v in audit(figure7_stack.protocol)}
         manager.acquire("c", ("db1", "z"), X)  # the graph moved on
         assert check_deadlock_verdict(manager) == []
+
+    def test_stale_group_mode_detected(self, figure7_stack):
+        """Forge holder counts that drifted from the holders: the table
+        would decide its next grant from them."""
+        manager = figure7_stack.manager
+        resource = ("db1",)
+        manager.acquire("a", resource, S)
+        assert check_group_mode(manager) == []
+        manager.table._entries[resource].held += HELD_UNIT[X.code]
+        violations = check_group_mode(manager)
+        assert violations and violations[0].rule == "group-mode"
+        assert violations[0].resource == resource
+        assert "group-mode" in {v.rule for v in audit(figure7_stack.protocol)}
 
     def test_coarse_cover_is_not_a_false_positive(self, figure7_stack):
         """A txn holding X on the object and nothing on a component is

@@ -77,15 +77,18 @@ def reference_edges(manager):
 
 
 def assert_views_agree(manager):
-    """The memoized edge list is the definition's, per-waiter blockers are
-    that list regrouped, and the rooted search is exact for every node,
-    not just the latest waiter."""
+    """The memoized edge list is the definition's (order included),
+    per-waiter blockers are that list regrouped, "is anyone waiting for
+    me" is its set of edge targets, and the rooted search is exact for
+    every node, not just the latest waiter."""
     table = manager.table
     edges = table.waits_for_edges()
     assert edges == reference_edges(manager)
     on_cycle = all_cycle_members(edges)
+    waited_for = {dst for _, dst in edges}
     for txn in TXNS:
         assert table.blockers_of(txn) == [dst for src, dst in edges if src == txn]
+        assert table.is_waited_for(txn) == (txn in waited_for)
         assert manager.detector._reaches_itself(txn) == (txn in on_cycle)
 
 
@@ -132,7 +135,7 @@ def test_rooted_check_agrees_with_full_pass(kind, semantic, actions, bypass):
         elif action == "escalate" and children_held(manager, txn, PARENT):
             if not escalator.escalate(txn, PARENT, wait=True).granted:
                 on_wait(manager, txn, discipline)
-    assert_views_agree(manager)
+        assert_views_agree(manager)
     assert manager.detect_deadlock() == find_cycle(manager.table.waits_for_edges())
 
 

@@ -93,8 +93,7 @@ class TestConversionEdgeCases:
         upgrade = table.request("a", resource, X)
         # drop a's grant behind the queue's back (simulates a partial abort)
         entry = table._entries[resource]
-        del entry.granted["a"]
-        table._txn_resources["a"].pop(resource, None)
+        table._drop_grant(entry, "a", resource, entry.granted["a"])
         woken = table.release("b", resource)
         # the conversion was requeued and eventually granted as a new lock
         assert upgrade in woken
