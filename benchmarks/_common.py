@@ -18,19 +18,16 @@ import repro
 from repro.sim import Simulator, WorkloadSpec, submit_workload
 from repro.workloads import build_cells_database
 
-#: CI runs the smoke subset under an ablation matrix —
-#: REPRO_BENCH_PLAN_CACHE=0/1, REPRO_DENSE=0/1 and REPRO_SEMANTIC=0/1 —
-#: to show the compiled-plan cache, batched acquisition, the dense-ID
+#: CI runs the smoke subset under an ablation matrix — REPRO_DENSE=0/1
+#: and REPRO_SEMANTIC=0/1 — to show batched acquisition, the dense-ID
 #: fast path and the semantic-mode vocabulary leave every benchmark's
 #: correctness assertions (lock counts, tables, anomalies) untouched.
 #: The semantic flag only widens the accepted mode set; benchmarks that
 #: demand classic modes must behave identically under it.
-_PLAN_CACHE_ABLATION = os.environ.get("REPRO_BENCH_PLAN_CACHE") == "1"
 _DENSE_ABLATION = os.environ.get("REPRO_DENSE") == "1"
 _SEMANTIC_ABLATION = os.environ.get("REPRO_SEMANTIC") == "1"
 ABLATION_FLAGS = dict(
-    use_plan_cache=_PLAN_CACHE_ABLATION or _DENSE_ABLATION,
-    use_batched_acquire=_PLAN_CACHE_ABLATION or _DENSE_ABLATION,
+    use_batched_acquire=_DENSE_ABLATION,
     use_dense_path=_DENSE_ABLATION,
     use_semantic_modes=_SEMANTIC_ABLATION,
 )

@@ -25,29 +25,19 @@ import repro
 from benchmarks._common import print_table
 from repro.graphs.units import object_resource
 from repro.locking.modes import S
+from repro.locking.plancache import PlanCache
 from repro.workloads import build_cells_database
 
 DB_KWARGS = dict(n_cells=6, n_robots=10, n_effectors=30)
 ROUNDS = 300
 
 VARIANTS = [
-    ("object", dict()),
-    (
-        "plan cache + batching",
-        dict(use_plan_cache=True, use_batched_acquire=True),
-    ),
-    (
-        "dense",
-        dict(use_plan_cache=True, use_batched_acquire=True, use_dense_path=True),
-    ),
+    ("object", dict(cached=False)),
+    ("plan cache + batching", dict(use_batched_acquire=True)),
+    ("dense", dict(use_batched_acquire=True, use_dense_path=True)),
     (
         "dense (no pooling)",
-        dict(
-            use_plan_cache=True,
-            use_batched_acquire=True,
-            use_dense_path=True,
-            pool_records=False,
-        ),
+        dict(use_batched_acquire=True, use_dense_path=True, pool_records=False),
     ),
 ]
 
@@ -55,8 +45,12 @@ VARIANTS = [
 def _stack(flags):
     flags = dict(flags)
     pool = flags.pop("pool_records", True)
+    cached = flags.pop("cached", True)
     database, catalog = build_cells_database(**DB_KWARGS)
     stack = repro.make_stack(database, catalog, **flags)
+    if not cached:
+        # zero budget: every demand compiled afresh, none retained
+        stack.protocol.plan_cache = PlanCache(0)
     if not pool:
         stack.manager.table.pool_records = False
     cells = [

@@ -17,21 +17,25 @@ from benchmarks._common import print_table
 from repro.graphs.units import object_resource
 from repro.locking.lock_table import LockTable
 from repro.locking.modes import IX, S, X
+from repro.locking.plancache import PlanCache
 from repro.workloads import build_cells_database
 
 DB_KWARGS = dict(n_cells=6, n_robots=10, n_effectors=30)
 N_TXNS = 300
 
 
-def _stack(use_plan_cache, use_batched_acquire, use_dense_path=False):
+def _stack(cached, use_batched_acquire, use_dense_path=False):
+    """``cached=False`` installs a zero-budget cache: every demand is
+    compiled afresh and none is retained."""
     database, catalog = build_cells_database(**DB_KWARGS)
     stack = repro.make_stack(
         database,
         catalog,
-        use_plan_cache=use_plan_cache,
         use_batched_acquire=use_batched_acquire,
         use_dense_path=use_dense_path,
     )
+    if not cached:
+        stack.protocol.plan_cache = PlanCache(0)
     cells = [
         object_resource(catalog, "cells", obj.key)
         for obj in database.relation("cells")
@@ -40,10 +44,10 @@ def _stack(use_plan_cache, use_batched_acquire, use_dense_path=False):
 
 
 def _repeated_demands(
-    use_plan_cache, use_batched_acquire, use_dense_path=False, n_txns=N_TXNS
+    cached, use_batched_acquire, use_dense_path=False, n_txns=N_TXNS
 ):
     """n short transactions, each S-locking one whole cell (round-robin)."""
-    stack, cells = _stack(use_plan_cache, use_batched_acquire, use_dense_path)
+    stack, cells = _stack(cached, use_batched_acquire, use_dense_path)
     start = time.perf_counter()
     for i in range(n_txns):
         txn = stack.txns.begin()

@@ -130,7 +130,7 @@ def _build_parser() -> argparse.ArgumentParser:
     diff.add_argument(
         "--no-plan-cache",
         action="store_true",
-        help="skip the compiled-plan cache + batching on/off comparison",
+        help="skip the plan cache + batching vs. uncached comparison",
     )
     diff.add_argument(
         "--no-dense-path",
@@ -246,10 +246,7 @@ def cmd_certify_faults(args) -> int:
         print(exc)
         return 2
     workload = WORKLOADS[args.workload]
-    variant = {
-        "protocol_cls": PROTOCOLS[args.protocol],
-        "use_plan_cache": True,
-    }
+    variant = {"protocol_cls": PROTOCOLS[args.protocol]}
     if mode == "seed":
         report = certify_faults(
             workload,

@@ -17,10 +17,10 @@ ablation paths, must tell one coherent story:
   or their dict-backed naive twins, must produce bit-identical schedule
   fingerprints (same interleavings, same outcomes, same final states);
 * the **plan-compilation layer** must be invisible down to the lock
-  trace: replaying a workload with the compiled-plan cache and batched
-  group acquisition on versus off must produce bit-identical lock-trace
-  fingerprints — every request, grant, wait and release event in the
-  same order, not merely the same final state.
+  trace: a workload replayed with the compiled-plan cache and batched
+  group acquisition versus uncached, step-by-step planning must produce
+  bit-identical lock-trace fingerprints — every request, grant, wait and
+  release event in the same order, not merely the same final state.
 """
 
 from __future__ import annotations
@@ -32,6 +32,7 @@ from typing import Dict, Optional, Sequence
 
 from repro.errors import CheckError
 from repro.locking import modes
+from repro.locking.plancache import PlanCache
 from repro.protocol import PROTOCOLS
 from repro.check.program import IMPLICIT_COVER_PROTOCOLS
 from repro.check.scheduler import (
@@ -197,36 +198,53 @@ def ablation_fingerprints(
     return fingerprints
 
 
+def _on_off_fingerprints(
+    label: str, workloads, flags, protocol, max_schedules, max_steps
+) -> Dict[str, tuple]:
+    """Explore ``workloads[enabled]`` with every flag in ``flags`` set to
+    ``enabled``, off then on; the fingerprints include the lock trace."""
+    fingerprints: Dict[str, tuple] = {}
+    for enabled in (False, True):
+        variant = {"protocol_cls": PROTOCOLS[protocol]}
+        variant.update((flag, enabled) for flag in flags)
+        explorer = Explorer(
+            workloads[enabled],
+            variant=variant,
+            check_rules=check_rules_for(protocol),
+            max_schedules=max_schedules,
+            max_steps=max_steps,
+        )
+        key = "%s=%s" % (label, "on" if enabled else "off")
+        fingerprints[key] = explorer.explore().fingerprint(include_trace=True)
+    return fingerprints
+
+
 def plan_cache_fingerprints(
     workload: Workload,
     protocol: str = "herrmann",
     max_schedules: int = 5000,
     max_steps: int = 300,
 ) -> Dict[str, tuple]:
-    """Explore one workload with plan compilation + batching off vs. on.
+    """Explore one workload with plan caching + batching off vs. on.
 
-    The returned fingerprints *include the lock-trace narrative*: the
-    compiled-plan cache and batched group acquisition claim to be pure
-    performance layers, so the bar is event-for-event identity of the
-    lock operations, not just identical schedules and final states.
+    "Off" builds every stack with a zero-budget :class:`PlanCache`.  The
+    fingerprints *include the lock-trace narrative*: the compiled-plan
+    cache and batched group acquisition claim to be pure performance
+    layers, so the bar is event-for-event identity of the lock operations.
     :func:`assert_ablations_agree` checks the two paths coincide.
     """
-    fingerprints: Dict[str, tuple] = {}
-    for enabled in (False, True):
-        explorer = Explorer(
-            workload,
-            variant={
-                "protocol_cls": PROTOCOLS[protocol],
-                "use_plan_cache": enabled,
-                "use_batched_acquire": enabled,
-            },
-            check_rules=check_rules_for(protocol),
-            max_schedules=max_schedules,
-            max_steps=max_steps,
-        )
-        label = "plan-cache+batching=%s" % ("on" if enabled else "off")
-        fingerprints[label] = explorer.explore().fingerprint(include_trace=True)
-    return fingerprints
+
+    def build_uncached(**variant):
+        stack, programs = workload.build(**variant)
+        stack.protocol.plan_cache = PlanCache(0)
+        return stack, programs
+
+    return _on_off_fingerprints(
+        "plan-cache+batching",
+        (Workload(workload.name, build_uncached), workload),
+        ("use_batched_acquire",),
+        protocol, max_schedules, max_steps,
+    )
 
 
 def dense_path_fingerprints(
@@ -237,32 +255,21 @@ def dense_path_fingerprints(
 ) -> Dict[str, tuple]:
     """Explore one workload on the object path vs. the full dense path.
 
-    "Object" is every optimization layer off; "dense" is the compiled-
-    plan cache, batched group acquisition and the dense-ID fast path
-    (interned resources, flat-array plans, int summaries, pooled
-    records) all on.  As with the plan-cache ablation the fingerprints
-    include the lock-trace narrative: the dense representation must
-    replay every request, grant, wait and release event bit-identically,
-    not merely reach the same final states.
+    "Object" is compiled plans acquired one step at a time; "dense" adds
+    batched group acquisition and the dense-ID fast path (interned
+    resources, flat-array plans, int summaries, pooled records).  As
+    with the plan-cache ablation the fingerprints include the lock-trace
+    narrative: the dense representation must replay every request,
+    grant, wait and release event bit-identically, not merely reach the
+    same final states.
     :func:`assert_ablations_agree` checks the two paths coincide.
     """
-    fingerprints: Dict[str, tuple] = {}
-    for enabled in (False, True):
-        explorer = Explorer(
-            workload,
-            variant={
-                "protocol_cls": PROTOCOLS[protocol],
-                "use_plan_cache": enabled,
-                "use_batched_acquire": enabled,
-                "use_dense_path": enabled,
-            },
-            check_rules=check_rules_for(protocol),
-            max_schedules=max_schedules,
-            max_steps=max_steps,
-        )
-        label = "dense-path=%s" % ("on" if enabled else "off")
-        fingerprints[label] = explorer.explore().fingerprint(include_trace=True)
-    return fingerprints
+    return _on_off_fingerprints(
+        "dense-path",
+        (workload, workload),
+        ("use_batched_acquire", "use_dense_path"),
+        protocol, max_schedules, max_steps,
+    )
 
 
 def sharded_fingerprints(
@@ -317,21 +324,12 @@ def semantic_modes_fingerprints(
     certification and explorer tests cover instead.)
     :func:`assert_ablations_agree` checks the two paths coincide.
     """
-    fingerprints: Dict[str, tuple] = {}
-    for enabled in (False, True):
-        explorer = Explorer(
-            workload,
-            variant={
-                "protocol_cls": PROTOCOLS[protocol],
-                "use_semantic_modes": enabled,
-            },
-            check_rules=check_rules_for(protocol),
-            max_schedules=max_schedules,
-            max_steps=max_steps,
-        )
-        label = "semantic-modes=%s" % ("on" if enabled else "off")
-        fingerprints[label] = explorer.explore().fingerprint(include_trace=True)
-    return fingerprints
+    return _on_off_fingerprints(
+        "semantic-modes",
+        (workload, workload),
+        ("use_semantic_modes",),
+        protocol, max_schedules, max_steps,
+    )
 
 
 #: What the components of one schedule's fingerprint are

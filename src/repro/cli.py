@@ -141,7 +141,6 @@ def cmd_compare(args):
             database,
             catalog,
             protocol_cls=protocol_cls,
-            use_plan_cache=args.plan_cache,
             use_batched_acquire=args.batched_acquire,
             use_dense_path=args.dense_path,
         )
@@ -186,7 +185,6 @@ def cmd_sweep(args):
                 database,
                 catalog,
                 protocol_cls=protocol_cls,
-                use_plan_cache=args.plan_cache,
                 use_batched_acquire=args.batched_acquire,
                 use_dense_path=args.dense_path,
             )
@@ -246,10 +244,6 @@ def build_parser() -> argparse.ArgumentParser:
     trace.set_defaults(func=cmd_trace)
 
     def ablations(sub):
-        sub.add_argument(
-            "--plan-cache", dest="plan_cache", action="store_true",
-            help="enable the compiled lock-plan cache",
-        )
         sub.add_argument(
             "--batched-acquire", dest="batched_acquire", action="store_true",
             help="acquire each plan's locks as one batched group request",

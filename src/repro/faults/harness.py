@@ -29,6 +29,7 @@ from repro.errors import CheckError
 from repro.faults.injector import FaultInjector
 from repro.faults.plan import FaultPlan
 from repro.locking.manager import LockManager
+from repro.locking.plancache import PlanCache
 from repro.txn.transaction import Transaction
 from repro.verify import audit
 
@@ -81,6 +82,7 @@ def check_plan_consistency(protocol) -> List[tuple]:
                 if hasattr(protocol, attr):
                     kwargs[attr] = getattr(protocol, attr)
             fresh = type(protocol)(LockManager(), protocol.catalog, **kwargs)
+            fresh.plan_cache = PlanCache(0)  # compiles every demand afresh
         probe = Transaction(
             principal=None if principal in (None, DEFAULT_RIGHTS) else principal
         )
@@ -170,11 +172,9 @@ def run_fault_schedule(
     """
     from repro.check.scheduler import ScheduleRun
 
-    if variant is None:
-        variant = {"use_plan_cache": True}
     injector = FaultInjector(plan)
     result = FaultRunResult(workload.name, injector.plan, walk_seed)
-    stack, programs = workload.build(**variant)
+    stack, programs = workload.build(**(variant or {}))
     injector.install(stack)
     run = ScheduleRun(stack, programs, max_steps=max_steps)
     rng = random.Random("fault:%d" % walk_seed)

@@ -22,6 +22,7 @@ checkout and undo all invalidate without any new bookkeeping calls.
 
 from __future__ import annotations
 
+from collections import OrderedDict
 from typing import Dict, Optional, Tuple
 
 
@@ -58,19 +59,21 @@ class PlanCache:
     """Stamp-validated memo of compiled lock plans.
 
     Keys are protocol-chosen tuples — typically ``(resource, mode,
-    options..., principal-context)``.  The cache never answers with a plan
-    compiled against a different world: a stamp mismatch counts as an
-    *invalidation* (and a miss) and drops the entry.  Size is bounded;
-    overflow evicts in insertion order (plain FIFO — the demand working
-    sets of the workloads are far below the cap, the bound only guards
-    against degenerate key churn).
+    options..., principal-context)``.  A stamp mismatch counts as an
+    *invalidation* (and a miss) and drops the entry.  The one size bound,
+    ``max_steps``, caps the plan steps retained over all live plans:
+    memory is per step, and plan lengths differ tenfold between demands.
+    Overflow evicts oldest-first in O(1); a plan longer than the whole
+    budget is served but not retained, so ``PlanCache(0)`` retains none.
     """
 
-    __slots__ = ("_plans", "max_size", "hits", "misses", "invalidations")
+    __slots__ = ("_plans", "max_steps", "steps", "hits", "misses", "invalidations")
 
-    def __init__(self, max_size: int = 4096):
-        self._plans: Dict[tuple, CompiledPlan] = {}
-        self.max_size = max_size
+    def __init__(self, max_steps: int = 16384):
+        self._plans: "OrderedDict[tuple, CompiledPlan]" = OrderedDict()
+        self.max_steps = max_steps
+        #: steps retained over all live plans (never above ``max_steps``)
+        self.steps = 0
         self.hits = 0
         self.misses = 0
         self.invalidations = 0
@@ -94,24 +97,33 @@ class PlanCache:
             self.invalidations += 1
             self.misses += 1
             del self._plans[key]
+            self.steps -= len(plan.steps)
             return None
         self.hits += 1
         plan.hits += 1
         return plan
 
     def store(self, key: tuple, stamp: tuple, steps: Tuple) -> CompiledPlan:
-        if len(self._plans) >= self.max_size:
-            self._plans.pop(next(iter(self._plans)))
         plan = CompiledPlan(key, stamp, steps)
-        self._plans[key] = plan
+        plans = self._plans
+        if key in plans:
+            self.steps -= len(plans.pop(key).steps)
+        size = len(steps)
+        if size <= self.max_steps:
+            while self.steps + size > self.max_steps:
+                self.steps -= len(plans.popitem(last=False)[1].steps)
+            plans[key] = plan
+            self.steps += size
         return plan
 
     def clear(self):
         self._plans.clear()
+        self.steps = 0
 
     def stats(self) -> Dict[str, int]:
         return {
             "plan_cache_size": len(self._plans),
+            "plan_cache_steps": self.steps,
             "plan_cache_hits": self.hits,
             "plan_cache_misses": self.misses,
             "plan_cache_invalidations": self.invalidations,

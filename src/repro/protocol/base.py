@@ -37,6 +37,7 @@ from repro.locking.modes import (
     X,
     LockMode,
     covers,
+    supremum,
 )
 from repro.locking.plancache import PlanCache
 
@@ -151,7 +152,6 @@ class ProtocolBase:
         manager: LockManager,
         catalog,
         authorization=None,
-        use_plan_cache: bool = False,
         use_batched_acquire: bool = False,
         use_dense_path: bool = False,
         use_semantic_modes: bool = False,
@@ -164,17 +164,18 @@ class ProtocolBase:
         #: (SI/AP/INC and their intentions).  Off by default: the classic
         #: protocol must be bit-identical to the pre-extension behaviour.
         self.use_semantic_modes = use_semantic_modes
-        #: ablation flag: memoize compiled demand expansions (stamped by
-        #: the database structure / authorization versions)
-        self.use_plan_cache = use_plan_cache
         #: ablation flag: submit whole plans to the lock table in one pass
         self.use_batched_acquire = use_batched_acquire
-        #: ablation flag: filter and execute cached plans as flat int
+        #: ablation flag: filter and execute compiled plans as flat int
         #: arrays against the dense lock table (implies batched
         #: submission of the dense plan; falls back to the object path
-        #: for uncached demands or a non-dense table)
+        #: for uncacheable protocols or a non-dense table)
         self.use_dense_path = use_dense_path
+        #: compiled demand expansions, stamped by the database structure
+        #: / authorization versions — the one planning path
         self.plan_cache = PlanCache()
+        #: the last plan_stamp(), shared by every plan compiled against it
+        self._stamp = (None, None)
         self._dense_table = (
             manager.table
             if use_dense_path and isinstance(manager.table, DenseLockTable)
@@ -371,8 +372,6 @@ class ProtocolBase:
         This is the transaction-*independent* half of plan finishing — its
         output is what the plan cache stores and shares across callers.
         """
-        from repro.locking.modes import supremum
-
         merged: List[PlannedLock] = []
         position = {}
         for step in steps:
@@ -452,15 +451,14 @@ class ProtocolBase:
         return (rids, codes, flags)
 
     def compiled_steps(self, key: tuple, build) -> Tuple[PlannedLock, ...]:
-        """Merged steps for a demand, via the plan cache when enabled.
+        """Merged steps for a demand, via the plan cache.
 
         ``build()`` computes the raw step list; ``key`` must capture every
         plan-shaping input apart from the world state the stamp covers —
         target resource, mode, propagation options and (under rule 4') the
-        requesting principal.  Disabled or uncacheable protocols just
-        merge.
+        requesting principal.  Uncacheable protocols just merge.
         """
-        if not (self.use_plan_cache and self.plan_cacheable):
+        if not self.plan_cacheable:
             self._active_plan = None
             return self.merge_steps(build())
         stamp = self.plan_stamp()
@@ -478,14 +476,16 @@ class ProtocolBase:
         restore, component writes (``notify_object_changed`` — which undo
         actions and check-in also run through) and relation/index creation;
         the authorization version moves on grant/revoke.  Any bump
-        invalidates all cached plans by stamp mismatch.
+        invalidates all cached plans by stamp mismatch.  One tuple per
+        version pair is shared by every plan compiled against it.
         """
-        database = self.catalog.database
+        structure = self.catalog.database.structure_version
         auth = self.authorization
-        return (
-            database.structure_version,
-            -1 if auth is None else auth.version,
-        )
+        auth_version = -1 if auth is None else auth.version
+        stamp = self._stamp
+        if stamp[0] != structure or stamp[1] != auth_version:
+            stamp = self._stamp = (structure, auth_version)
+        return stamp
 
     def _ancestor_steps(self, txn, resource, intention: LockMode) -> List[PlannedLock]:
         """Intention locks on all ancestors, root first (rules 1-2)."""
@@ -511,7 +511,6 @@ class ProtocolBase:
                 if self.demands
                 else 0.0
             ),
-            "use_plan_cache": self.use_plan_cache,
             "use_batched_acquire": self.use_batched_acquire,
             "use_dense_path": self.use_dense_path,
             "use_semantic_modes": self.use_semantic_modes,

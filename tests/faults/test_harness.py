@@ -91,7 +91,7 @@ class TestLeakDetection:
 
     def test_clean_cache_passes_consistency(self):
         database, catalog = build_cells_database(figure7=True)
-        stack = repro.make_stack(database, catalog, use_plan_cache=True)
+        stack = repro.make_stack(database, catalog)
         cell = object_resource(stack.catalog, "cells", "c1")
         stack.protocol.plan_request(stack.txns.begin(), cell, S)
         assert check_plan_consistency(stack.protocol) == []
@@ -100,7 +100,7 @@ class TestLeakDetection:
         """A cached plan silently diverging from a fresh replan is exactly
         the stamp leak the final audit must catch."""
         database, catalog = build_cells_database(figure7=True)
-        stack = repro.make_stack(database, catalog, use_plan_cache=True)
+        stack = repro.make_stack(database, catalog)
         cell = object_resource(stack.catalog, "cells", "c1")
         stack.protocol.plan_request(stack.txns.begin(), cell, S)
         cache = stack.protocol.plan_cache

@@ -73,7 +73,6 @@ class TestInternerTraceProperty:
         stack = repro.make_stack(
             database,
             catalog,
-            use_plan_cache=True,
             use_batched_acquire=True,
             use_dense_path=True,
         )

@@ -310,7 +310,6 @@ class TestProtocolStackEquivalence:
         plain = repro.make_stack(*build_cells_database(figure7=True))
         dense = repro.make_stack(
             *build_cells_database(figure7=True),
-            use_plan_cache=True,
             use_batched_acquire=True,
             use_dense_path=True,
         )

@@ -1,6 +1,8 @@
 """PlanCache: stamp-validated memoization of compiled lock plans."""
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.locking.plancache import CompiledPlan, PlanCache
 
@@ -67,11 +69,12 @@ class TestStampInvalidation:
 
 class TestEvictionAndBounds:
     def test_fifo_eviction_at_capacity(self):
-        cache = PlanCache(max_size=2)
+        cache = PlanCache(max_steps=2 * len(STEPS))
         cache.store(("a",), STAMP, STEPS)
         cache.store(("b",), STAMP, STEPS)
         cache.store(("c",), STAMP, STEPS)  # evicts ("a",)
         assert len(cache) == 2
+        assert cache.steps == 2 * len(STEPS)
         assert cache.lookup(("a",), STAMP) is None
         assert cache.lookup(("b",), STAMP) is STEPS
         assert cache.lookup(("c",), STAMP) is STEPS
@@ -82,6 +85,68 @@ class TestEvictionAndBounds:
         assert len(cache) == 0
         assert cache.lookup(KEY, STAMP) is None
 
+    @given(
+        budget=st.integers(0, 12),
+        ops=st.lists(
+            st.one_of(
+                st.tuples(
+                    st.just("store"),
+                    st.integers(0, 4),
+                    st.integers(0, 15),
+                    st.integers(0, 1),
+                ),
+                st.tuples(st.just("lookup"), st.integers(0, 4), st.integers(0, 1)),
+                st.tuples(st.just("clear")),
+            ),
+            max_size=40,
+        ),
+    )
+    @settings(max_examples=200, deadline=None)
+    def test_step_budget_matches_fifo_list_model(self, budget, ops):
+        """Every op is checked against a FIFO list of live
+        ``[key, stamp, steps]`` entries: retained steps are the sum over
+        live plans and never exceed the budget, eviction is oldest-first,
+        a stale-stamp hit drops its plan, and a plan longer than the
+        whole budget is served but not retained."""
+        cache = PlanCache(max_steps=budget)
+        model = []
+        counts = {"hits": 0, "misses": 0, "invalidations": 0}
+        for op in ops:
+            if op[0] == "store":
+                _, key, length, stamp = op
+                steps = tuple(("r", i) for i in range(length))
+                plan = cache.store(key, stamp, steps)
+                assert plan.steps is steps
+                model = [entry for entry in model if entry[0] != key]
+                if length <= budget:
+                    while sum(len(e[2]) for e in model) + length > budget:
+                        model.pop(0)
+                    model.append([key, stamp, steps])
+            elif op[0] == "lookup":
+                _, key, stamp = op
+                found = cache.lookup(key, stamp)
+                entry = next((e for e in model if e[0] == key), None)
+                if entry is None:
+                    counts["misses"] += 1
+                    assert found is None
+                elif entry[1] != stamp:
+                    counts["misses"] += 1
+                    counts["invalidations"] += 1
+                    model.remove(entry)
+                    assert found is None
+                else:
+                    counts["hits"] += 1
+                    assert found is entry[2]
+            else:
+                cache.clear()
+                model = []
+            assert list(cache._plans) == [entry[0] for entry in model]
+            assert cache.steps == sum(len(entry[2]) for entry in model)
+            assert cache.steps <= budget
+            assert (cache.hits, cache.misses, cache.invalidations) == (
+                counts["hits"], counts["misses"], counts["invalidations"]
+            )
+
 
 class TestStats:
     def test_stats_keys(self, cache):
@@ -91,6 +156,7 @@ class TestStats:
         stats = cache.stats()
         assert stats == {
             "plan_cache_size": 1,
+            "plan_cache_steps": len(STEPS),
             "plan_cache_hits": 1,
             "plan_cache_misses": 1,
             "plan_cache_invalidations": 0,

@@ -14,16 +14,18 @@ from hypothesis import strategies as st
 import repro
 from repro.graphs.units import component_resource, object_resource
 from repro.locking.modes import IS, S, X
+from repro.locking.plancache import PlanCache
 from repro.nf2 import make_tuple, parse_path
 from repro.txn.checkout import Workstation
 from repro.workloads import build_cells_database
 
 
 def cached_and_plain_stacks(**kwargs):
+    """A shipped (cached) stack and its uncached reference: a zero-budget
+    cache compiles every demand afresh and retains none."""
     plain = repro.make_stack(*build_cells_database(figure7=True), **kwargs)
-    cached = repro.make_stack(
-        *build_cells_database(figure7=True), use_plan_cache=True, **kwargs
-    )
+    plain.protocol.plan_cache = PlanCache(0)
+    cached = repro.make_stack(*build_cells_database(figure7=True), **kwargs)
     return plain, cached
 
 
@@ -260,7 +262,7 @@ class TestCacheabilityAndMetrics:
 
         database, catalog = build_cells_database(figure7=True)
         stack = repro.make_stack(
-            database, catalog, protocol_cls=NaiveDAGProtocol, use_plan_cache=True
+            database, catalog, protocol_cls=NaiveDAGProtocol
         )
         cell = object_resource(catalog, "cells", "c1")
         for _ in range(3):
@@ -270,20 +272,25 @@ class TestCacheabilityAndMetrics:
         assert stats["plan_cache_hits"] == 0
         assert stats["plan_cache_size"] == 0
 
-    def test_disabled_cache_has_no_traffic(self):
-        plain, _ = cached_and_plain_stacks()
-        cell = object_resource(plain.catalog, "cells", "c1")
-        for _ in range(3):
-            plain.protocol.plan_request(plain.txns.begin(), cell, S)
-        stats = plain.protocol.plan_cache.stats()
-        assert stats["plan_cache_hits"] == stats["plan_cache_misses"] == 0
+    def test_default_stack_caches(self):
+        stack = repro.make_stack(*build_cells_database(figure7=True))
+        cell = object_resource(stack.catalog, "cells", "c1")
+        for _ in range(2):
+            stack.protocol.plan_request(stack.txns.begin(), cell, S)
+        stats = stack.protocol.plan_cache.stats()
+        assert (stats["plan_cache_misses"], stats["plan_cache_hits"]) == (1, 1)
+
+    def test_plan_cache_is_not_an_option(self):
+        with pytest.raises(TypeError):
+            repro.make_stack(
+                *build_cells_database(figure7=True), use_plan_cache=True
+            )
 
     def test_protocol_metrics_expose_cache_and_flags(self):
         _, cached = cached_and_plain_stacks()
         cell = object_resource(cached.catalog, "cells", "c1")
         cached.protocol.request(cached.txns.begin(), cell, IS)
         metrics = cached.protocol.metrics()
-        assert metrics["use_plan_cache"] is True
         assert metrics["use_batched_acquire"] is False
         assert metrics["demands"] == 1
         assert metrics["locks_per_demand"] == metrics["locks_requested"]
@@ -312,7 +319,7 @@ class TestBatchedExecutionEquivalence:
         database, catalog = build_cells_database(figure7=True)
         seq = repro.make_stack(*build_cells_database(figure7=True))
         bat = repro.make_stack(
-            database, catalog, use_batched_acquire=True, use_plan_cache=True
+            database, catalog, use_batched_acquire=True
         )
         for stack in (seq, bat):
             grant_figure7_rights(stack, "u")
