@@ -455,8 +455,12 @@ async def _pipelined_client_loop(
     Whole transactions are batched — START, the lock demands and END go
     out in a single write — and responses are reaped from a sliding
     window of outstanding futures, so the connection never waits a full
-    round-trip per frame.  The random demand sequence is identical to
-    :func:`_client_loop`'s for the same seed.
+    round-trip per frame.  The window is reaped until the whole next
+    transaction fits before any of its frames is queued: each frame
+    holds a pipeline slot, and a transaction whose END waited for a
+    slot held by a lock parked behind that very END would never finish.
+    The random demand sequence is identical to :func:`_client_loop`'s
+    for the same seed.
     """
     rng = random.Random(seed)
     client = await ServiceClient(
@@ -473,9 +477,11 @@ async def _pipelined_client_loop(
             response = await outstanding.popleft()
             counts["ok" if response.startswith("OK") else "err"] += 1
 
+    room = max(0, pipeline_depth - (txn_locks + 2))  # START + locks + END
     serial = 0
     try:
         while time.monotonic() < deadline:
+            await reap(room)
             serial += 1
             txn = "%s-%d" % (name, serial)
             outstanding.append(await client.submit_start(txn))
@@ -484,7 +490,6 @@ async def _pipelined_client_loop(
                 outstanding.append(await client.submit_lock(verb, txn, path))
             outstanding.append(await client.submit_end(txn))
             await client.flush()
-            await reap(pipeline_depth)
         await reap(0)
     except (ConnectionResetError, BrokenPipeError):
         counts["disconnects"] += 1

@@ -53,20 +53,25 @@ the old ``readline()`` path tore the session down with
 ``LimitOverrunError``.
 
 Concurrency model: one process, one single-threaded event loop, and
-every lock-table mutation synchronous — so nothing needs a mutex.  A
-lock frame submits its whole plan with one ``manager.acquire_many`` call
-(the manager alone cuts it into per-shard runs); at most the last
-returned request is WAITING, in which case the frame parks, and once
-granted resumes with the steps after the blocked one until the plan is
-exhausted.  Release, commit, abort, the timeout cancel and the deadlock
-detector's pass over the union waits-for graph are plain synchronous
-calls between two ``await`` points.
+every lock-table mutation synchronous — so nothing needs a mutex.  Each
+frame is dispatched synchronously on the read loop, in arrival order,
+until it finishes or parks.  A lock frame submits its whole plan with
+one ``manager.acquire_many`` call (the manager alone cuts it into
+per-shard runs); at most the last returned request is WAITING, in which
+case the frame parks: its grant future is registered and the detector
+nudged before control returns to the read loop, and only then does its
+continuation run as a task — or, on the text path, get awaited in
+place.  Once granted it resumes with the steps after the blocked one
+until the plan is exhausted.  An ``END`` whose own transaction still has
+parked frames parks the same way.
+Release, commit, abort, the timeout cancel and the deadlock detector's
+pass over the union waits-for graph are plain synchronous calls between
+two ``await`` points.
 
-WAITING requests park on an :class:`asyncio.Future`; the manager's
-``on_wake`` callback resolves the future when a release or cancellation
-grants the queued request.  Responses already queued behind a parked
-request are flushed *before* parking, so a pipelined batch never sits on
-completed answers while one frame waits.  A cross-shard deadlock
+The manager's ``on_wake`` callback resolves a parked request's future
+when a release or cancellation grants it.  Responses already queued when
+a frame parks are flushed before it waits, so a pipelined batch never
+sits on completed answers while one frame waits.  A cross-shard deadlock
 detector task checks the union waits-for graph on an interval, nudged
 early whenever a request starts waiting; victims are aborted through
 the transaction manager with the bounded-retry pattern of the fault
@@ -82,6 +87,7 @@ registered in :data:`repro.faults.plan.INJECTION_POINTS`.
 from __future__ import annotations
 
 import asyncio
+import functools
 import json
 from typing import Dict, List, Optional, Tuple
 
@@ -191,24 +197,15 @@ def make_service_stack(workload: str = "cells", shards: int = 4, **flags):
 class _Session:
     """Per-connection state: named transactions plus wire-mode flags.
 
-    Binary frames dispatch as concurrent tasks, so the session also
-    carries the pipelining bookkeeping: the frame-order lock (frames
-    *begin* in arrival order; a frame that parks releases it so later
-    frames can proceed), the set of in-flight dispatch tasks, and a
-    per-transaction in-flight count that lets ``END`` wait for its own
-    transaction's frames without stalling anyone else's.
+    Frames dispatch synchronously in arrival order; only a frame that
+    parks outlives its dispatch, as a task on the binary path.  The
+    session therefore carries the set of those parked tasks and a
+    per-transaction count of parked frames that lets ``END`` wait for
+    its own transaction's frames without stalling anyone else's.
     """
 
     __slots__ = (
-        "txns",
-        "binary",
-        "discarding",
-        "skip",
-        "order",
-        "order_owner",
-        "tasks",
-        "inflight",
-        "idle",
+        "txns", "binary", "discarding", "skip", "tasks", "inflight", "idle"
     )
 
     def __init__(self):
@@ -216,26 +213,9 @@ class _Session:
         self.binary = False  # upgraded via HELLO BINARY
         self.discarding = False  # swallowing the tail of an oversized line
         self.skip = 0  # oversized binary body bytes still to discard
-        self.order = asyncio.Lock()
-        self.order_owner: Optional[asyncio.Task] = None
         self.tasks: set = set()
-        self.inflight: Dict[str, int] = {}  # txn name -> frames in flight
+        self.inflight: Dict[str, int] = {}  # txn name -> parked frames
         self.idle: Dict[str, asyncio.Event] = {}  # set when count hits 0
-
-    async def acquire_order(self):
-        await self.order.acquire()
-        self.order_owner = asyncio.current_task()
-
-    def release_order(self):
-        """Release the frame-order lock if this task still holds it.
-
-        Idempotent per task: the first park inside a dispatch releases,
-        the wrapper's ``finally`` then no-ops.  Text dispatches never
-        acquire the lock, so this is a no-op for them too.
-        """
-        if self.order_owner is asyncio.current_task():
-            self.order_owner = None
-            self.order.release()
 
     def begin_frame(self, name: str):
         self.inflight[name] = self.inflight.get(name, 0) + 1
@@ -250,11 +230,9 @@ class _Session:
             if event is not None:
                 event.set()
 
-    async def quiesce(self, name: str):
-        """Park until no lock frame for ``name`` is in flight."""
-        while self.inflight.get(name, 0):
-            event = self.idle.setdefault(name, asyncio.Event())
-            await event.wait()
+    def idle_event(self, name: str) -> asyncio.Event:
+        """Set when ``name``'s last parked frame finishes."""
+        return self.idle.setdefault(name, asyncio.Event())
 
 
 class _Conn:
@@ -323,9 +301,10 @@ class LockServer:
         self._detector_task: Optional[asyncio.Task] = None
         self._nudge: Optional[asyncio.Event] = None
         self._loop: Optional[asyncio.AbstractEventLoop] = None
-        #: rid -> resource tuple: everything reachable over the binary
-        #: wire (the schema tree at start, plus OP_INTERN additions)
-        self._rid_resources: Dict[int, tuple] = {}
+        #: rid -> (resource tuple, rendered path): everything reachable
+        #: over the binary wire (the schema tree at start, plus OP_INTERN
+        #: additions), each path rendered once at registration
+        self._rid_resources: Dict[int, Tuple[tuple, str]] = {}
         self._wire_ids = ResourceInterner()
         #: see :meth:`_resource_index`
         self._resource_index_memo: Optional[tuple] = None
@@ -391,7 +370,14 @@ class LockServer:
         for resource in register_database_resources(
             self._wire_ids, self.stack.database
         ):
-            self._rid_resources[self._wire_ids.intern(resource)] = resource
+            self._register_rid(resource)
+
+    def _register_rid(self, resource: tuple) -> int:
+        rid = self._wire_ids.intern(resource)
+        if rid not in self._rid_resources:
+            path = "/".join(str(p) for p in resource)
+            self._rid_resources[rid] = (resource, path)
+        return rid
 
     # -- wake plumbing --------------------------------------------------------
 
@@ -421,22 +407,27 @@ class LockServer:
                     # an injected disconnect or unrecoverable framing:
                     # drop without a reply; the cleanup below aborts the
                     # session's live transactions
+                    del conn.out[:]
                     abandoned = True
                     return
                 await self._flush(conn)
         except (ConnectionResetError, BrokenPipeError):
             pass
         finally:
-            if abandoned:
-                # the connection is being dropped mid-stream: unwind any
-                # in-flight binary dispatches instead of letting them
-                # finish against a peer that will never read the answers
+            if abandoned and session.tasks:
+                # the connection is being dropped mid-stream: unwind the
+                # parked binary frames instead of letting them finish
+                # against a peer that will never read the answers.  Yield
+                # once first: every continuation was scheduled before
+                # this step, so each is past its first step and unwinds
+                # the registration it made when it parked.
+                await asyncio.sleep(0)
                 for task in list(session.tasks):
                     task.cancel()
             if session.tasks:
-                # settle (or unwind) the in-flight dispatches before
-                # aborting: aborting a transaction under its own running
-                # frame would race the lock manager
+                # settle (or unwind) the parked frames before aborting:
+                # aborting a transaction under its own running frame
+                # would race the lock manager
                 await asyncio.gather(
                     *list(session.tasks), return_exceptions=True
                 )
@@ -452,10 +443,10 @@ class LockServer:
 
     async def _drain_frames(self, conn, session, buffer, eof) -> bool:
         """Dispatch every complete frame in ``buffer``; False drops the
-        connection.  Text frames dispatch inline, one round-trip at a
-        time — the PR-7 semantics.  Binary frames spawn ordered dispatch
-        tasks (:meth:`_binary_frame`), so a parked frame no longer
-        head-of-line-blocks the frames queued behind it."""
+        connection.  Every frame dispatches synchronously, in arrival
+        order.  A text frame that parks is awaited here, one round-trip
+        at a time; a binary frame that parks becomes a task, so it does
+        not head-of-line-block the frames queued behind it."""
         while True:
             if session.binary:
                 progress, alive = self._next_binary(conn, session, buffer)
@@ -546,9 +537,13 @@ class LockServer:
         self.stats["frames"] += 1
         if self._frame_fault():
             return False, False
-        response = await self._dispatch(
-            conn, session, line.decode("utf-8", "replace").strip()
+        response = self._dispatch(
+            session, line.decode("utf-8", "replace").strip()
         )
+        if not isinstance(response, str):
+            # parked: flush the answers already queued, then wait here
+            await self._flush(conn)
+            response = await response
         self._queue_text(conn, response)
         return True, True
 
@@ -561,10 +556,11 @@ class LockServer:
     def _next_binary(self, conn, session, buffer):
         """Consume at most one binary frame; (progress, alive).
 
-        Decode-time outcomes (oversized frame, corrupt header, bad
-        body) are answered inline; a well-formed request spawns an
-        ordered dispatch task instead of being awaited here, so the
-        read loop keeps decoding while earlier frames execute."""
+        Every frame runs to completion right here, in arrival order —
+        decode-time outcomes (oversized frame, corrupt header, bad body)
+        and well-formed requests alike.  Only a frame that parks leaves
+        a task behind (answered by :meth:`_answer_parked`), so the read
+        loop keeps decoding while it waits."""
         if session.skip:
             drop = min(session.skip, len(buffer))
             del buffer[:drop]
@@ -619,51 +615,54 @@ class LockServer:
             )
             return True, True
         del buffer[:end]
-        task = self._loop.create_task(
-            self._binary_frame(conn, session, opcode, corr, fields)
-        )
-        session.tasks.add(task)
-        task.add_done_callback(session.tasks.discard)
+        response = self._dispatch_binary(session, opcode, corr, fields)
+        if isinstance(response, str):
+            self._queue_binary(conn, wire.frame_for_response(corr, response))
+        elif isinstance(response, bytes):
+            self._queue_binary(conn, response)
+        else:
+            task = self._loop.create_task(response)
+            session.tasks.add(task)
+            task.add_done_callback(
+                functools.partial(self._answer_parked, conn, session, corr)
+            )
         return True, True
 
-    async def _binary_frame(self, conn, session, opcode, corr, fields):
-        """One pipelined binary dispatch, begun in arrival order.
-
-        The session's order lock is held from frame start until the
-        dispatch completes — or first waits (released in
-        ``_await_grant``, and in ``_end`` while it quiesces its own
-        transaction's frames).  Transaction state therefore mutates in
-        arrival order, but a waiting frame no longer blocks the frames
-        queued behind it: responses are matched by correlation id, not
-        position.
-        """
-        await session.acquire_order()
-        try:
-            frame = await self._dispatch_binary(
-                conn, session, opcode, corr, fields
-            )
-        except asyncio.CancelledError:
-            raise
-        except Exception:
-            # the serial path tore the connection down on an unexpected
-            # dispatch error; match that rather than leaving the client
-            # waiting on this correlation id forever
+    def _answer_parked(self, conn, session, corr: int, task) -> None:
+        """Done-callback of a parked binary frame's continuation: queue
+        its answer, matched by correlation id rather than position."""
+        session.tasks.discard(task)
+        if task.cancelled():
+            return
+        exc = task.exception()
+        if exc is not None:
+            # an unexpected dispatch error tears the connection down
+            # rather than leaving the client waiting on this
+            # correlation id forever
             conn.writer.close()
-            raise
-        finally:
-            session.release_order()
-        self._queue_binary(conn, frame)
+            self._loop.call_exception_handler(
+                {"message": "parked frame failed", "exception": exc}
+            )
+            return
+        self._queue_binary(conn, wire.frame_for_response(corr, task.result()))
+        # the read loop flushes the frames it dispatched; an answer that
+        # completes later schedules its own flush
+        self._schedule_flush(conn)
 
     def _queue_binary(self, conn, frame: bytes):
         if frame[4] == wire.RESP_ERR:
             self.stats["errors"] += 1
         conn.out += frame
         conn.pending += 1
-        self._schedule_flush(conn)
 
     # -- dispatch -------------------------------------------------------------
+    #
+    # Every handler runs synchronously and returns its response — or, when
+    # the frame parks, its continuation coroutine with the wake-up already
+    # registered.  The text path awaits a continuation in place; the
+    # binary path spawns it as a task.
 
-    async def _dispatch(self, conn, session: _Session, frame: str) -> str:
+    def _dispatch(self, session: _Session, frame: str):
         if not frame:
             return "ERR BAD-FRAME empty"
         tokens = frame.split()
@@ -692,7 +691,7 @@ class LockServer:
         if verb == "END":
             if len(tokens) != 2:
                 return "ERR BAD-FRAME END takes one argument"
-            return await self._end(session, tokens[1])
+            return self._end(session, tokens[1])
         if verb == "UNLOCK":
             if len(tokens) != 3:
                 return "ERR BAD-FRAME UNLOCK takes two arguments"
@@ -702,13 +701,8 @@ class LockServer:
                 len(tokens) == 4 and tokens[3].upper() != "NOWAIT"
             ):
                 return "ERR BAD-FRAME %s takes <txn> <path> [NOWAIT]" % verb
-            return await self._lock(
-                conn,
-                session,
-                verb,
-                tokens[1],
-                tokens[2],
-                nowait=len(tokens) == 4,
+            return self._lock(
+                session, verb, tokens[1], tokens[2], nowait=len(tokens) == 4
             )
         if verb == "ACQUIRE_MANY":
             if len(tokens) not in (3, 4) or (
@@ -718,133 +712,98 @@ class LockServer:
                     "ERR BAD-FRAME ACQUIRE_MANY takes <txn> "
                     "<path>:<mode>[,...] [NOWAIT]"
                 )
-            return await self._acquire_many(
-                conn, session, tokens[1], tokens[2], nowait=len(tokens) == 4
+            return self._acquire_many(
+                session, tokens[1], tokens[2], nowait=len(tokens) == 4
             )
         return "ERR UNKNOWN-VERB %s" % tokens[0]
 
-    async def _dispatch_binary(
-        self, conn, session: _Session, opcode: int, corr: int, fields: tuple
-    ) -> bytes:
-        """One binary request, one binary response frame.
-
-        Lock/unlock/end responses render through the same text handlers
-        the line protocol uses and are re-framed, so the two protocols
-        stay byte-equivalent by construction.
-        """
+    def _dispatch_binary(
+        self, session: _Session, opcode: int, corr: int, fields: tuple
+    ):
+        """One binary request: the text response the caller re-frames
+        (so the two protocols stay byte-equivalent by construction), an
+        already encoded non-text response frame, or the continuation of
+        a frame that parked."""
         if opcode == wire.OP_START:
-            return wire.frame_for_response(
-                corr, self._start(session, fields[0])
-            )
+            return self._start(session, fields[0])
         if opcode == wire.OP_END:
-            return wire.frame_for_response(
-                corr, await self._end(session, fields[0])
-            )
+            return self._end(session, fields[0])
         if opcode == wire.OP_STATS:
-            return wire.frame_for_response(corr, self._stats_frame())
+            return self._stats_frame()
+        if opcode == wire.OP_MODES:
+            return self._modes_frame()
         if opcode == wire.OP_RESOURCES:
             entries = tuple(
                 sorted(
-                    (rid, "/".join(str(p) for p in resource))
-                    for rid, resource in self._rid_resources.items()
+                    (rid, path)
+                    for rid, (_, path) in self._rid_resources.items()
                 )
             )
             return wire.encode_response(wire.RESP_RESOURCES, corr, (entries,))
         if opcode == wire.OP_INTERN:
             resource, err = self._parse_resource(fields[0])
             if err is not None:
-                return wire.frame_for_response(corr, err)
-            rid = self._wire_ids.intern(resource)
-            self._rid_resources[rid] = resource
-            return wire.encode_response(wire.RESP_INTERNED, corr, (rid,))
+                return err
+            return wire.encode_response(
+                wire.RESP_INTERNED, corr, (self._register_rid(resource),)
+            )
         if opcode == wire.OP_UNLOCK:
             rid, name = fields
             if self._live_txn(session, name) is None:
-                return wire.frame_for_response(corr, "ERR NOTXN %s" % name)
-            resource = self._rid_resources.get(rid)
-            if resource is None:
-                return wire.frame_for_response(
-                    corr, "ERR UNKNOWN-RESOURCE rid=%d" % rid
-                )
-            return wire.frame_for_response(
-                corr,
-                self._unlock_resource(
-                    session,
-                    name,
-                    resource,
-                    "/".join(str(p) for p in resource),
-                ),
-            )
-        if opcode == wire.OP_MODES:
-            return wire.frame_for_response(corr, self._modes_frame())
+                return "ERR NOTXN %s" % name
+            entry = self._rid_resources.get(rid)
+            if entry is None:
+                return "ERR UNKNOWN-RESOURCE rid=%d" % rid
+            return self._unlock_resource(session, name, *entry)
         if opcode == wire.OP_LOCK:
             mode_code, flags, rid, name = fields
             if self._live_txn(session, name) is None:
-                return wire.frame_for_response(corr, "ERR NOTXN %s" % name)
+                return "ERR NOTXN %s" % name
             if mode_code >= N_MODES or not self._accepts_mode(
                 MODES_BY_CODE[mode_code]
             ):
                 # a semantic code against a classic stack answers exactly
                 # as any out-of-range code always has
-                return wire.frame_for_response(
-                    corr, "ERR BAD-MODE code=%d" % mode_code
-                )
-            resource = self._rid_resources.get(rid)
-            if resource is None:
-                return wire.frame_for_response(
-                    corr, "ERR UNKNOWN-RESOURCE rid=%d" % rid
-                )
-            return wire.frame_for_response(
-                corr,
-                await self._lock_resource(
-                    conn,
-                    session,
-                    name,
-                    resource,
-                    "/".join(str(p) for p in resource),
-                    MODES_BY_CODE[mode_code],
-                    nowait=bool(flags & wire.FLAG_NOWAIT),
-                ),
+                return "ERR BAD-MODE code=%d" % mode_code
+            entry = self._rid_resources.get(rid)
+            if entry is None:
+                return "ERR UNKNOWN-RESOURCE rid=%d" % rid
+            resource, path = entry
+            return self._lock_resource(
+                session,
+                name,
+                resource,
+                path,
+                MODES_BY_CODE[mode_code],
+                nowait=bool(flags & wire.FLAG_NOWAIT),
             )
         if opcode == wire.OP_ACQUIRE_MANY:
             flags, step_codes, name = fields
             txn = self._live_txn(session, name)
             if txn is None:
-                return wire.frame_for_response(corr, "ERR NOTXN %s" % name)
+                return "ERR NOTXN %s" % name
             steps: List[Tuple[tuple, LockMode]] = []
             spec_parts: List[str] = []
             for rid, mode_code in step_codes:
                 if mode_code >= N_MODES or not self._accepts_mode(
                     MODES_BY_CODE[mode_code]
                 ):
-                    return wire.frame_for_response(
-                        corr, "ERR BAD-MODE code=%d" % mode_code
-                    )
-                resource = self._rid_resources.get(rid)
-                if resource is None:
-                    return wire.frame_for_response(
-                        corr, "ERR UNKNOWN-RESOURCE rid=%d" % rid
-                    )
+                    return "ERR BAD-MODE code=%d" % mode_code
+                entry = self._rid_resources.get(rid)
+                if entry is None:
+                    return "ERR UNKNOWN-RESOURCE rid=%d" % rid
                 mode = MODES_BY_CODE[mode_code]
-                steps.append((resource, mode))
-                spec_parts.append(
-                    "%s:%s" % ("/".join(str(p) for p in resource), mode.value)
-                )
-            return wire.frame_for_response(
-                corr,
-                await self._run_steps(
-                    conn,
-                    session,
-                    txn,
-                    name,
-                    ",".join(spec_parts),
-                    steps,
-                    nowait=bool(flags & wire.FLAG_NOWAIT),
-                ),
+                steps.append((entry[0], mode))
+                spec_parts.append("%s:%s" % (entry[1], mode.value))
+            return self._run_steps(
+                session,
+                txn,
+                name,
+                ",".join(spec_parts),
+                steps,
+                nowait=bool(flags & wire.FLAG_NOWAIT),
             )
-        return wire.frame_for_response(
-            corr, "ERR UNKNOWN-OPCODE 0x%02x" % opcode
-        )
+        return "ERR UNKNOWN-OPCODE 0x%02x" % opcode
 
     def _start(self, session: _Session, name: str) -> str:
         txn = session.txns.get(name)
@@ -860,32 +819,44 @@ class LockServer:
             return None
         return txn
 
-    async def _end(self, session: _Session, name: str) -> str:
+    def _end(self, session: _Session, name: str):
         txn = self._live_txn(session, name)
         if txn is None:
             return "ERR NOTXN %s" % name
-        # a pipelined END can arrive while this transaction's own lock
-        # frames are still in flight (parked on a lock wait); committing
-        # underneath them would yank the transaction out of the lock
-        # manager mid-plan.  Wait for the transaction to quiesce — and
-        # release the frame-order lock first, else this END would
-        # head-of-line-block every later frame (the next transaction's
-        # whole pipeline) while it waits on its own stragglers.
         if session.inflight.get(name):
-            session.release_order()
-            await session.quiesce(name)
+            # a pipelined END can arrive while this transaction's own
+            # lock frames are parked on a lock wait; committing
+            # underneath them would yank the transaction out of the lock
+            # manager mid-plan.  Park until they finish — the frames
+            # behind this END (the next transaction's whole pipeline)
+            # keep dispatching meanwhile.
+            return self._end_when_idle(
+                session, name, txn, session.idle_event(name)
+            )
+        return self._commit(session, name, txn)
+
+    async def _end_when_idle(
+        self, session: _Session, name: str, txn, idle: asyncio.Event
+    ) -> str:
+        """A parked END: commit once no frame of ``name`` is parked."""
+        await idle.wait()
+        while session.inflight.get(name):  # a later frame parked since
+            await session.idle_event(name).wait()
+        return self._commit(session, name, txn)
+
+    def _commit(self, session: _Session, name: str, txn) -> str:
         # commit mutates synchronously (no awaits): nothing can observe
         # a half-released transaction
         try:
             self.stack.txns.commit(txn)
         except TransactionError:
-            # e.g. the detector picked this transaction as victim after
-            # the liveness check above
+            # e.g. the detector picked this transaction as victim while
+            # its END was parked
             if session.txns.get(name) is txn:
                 session.txns.pop(name, None)
             return "ERR NOTXN %s" % name
-        # drop only our own entry: once the order lock is released a
-        # pipelined START may already have rebound the name
+        # drop only our own entry: while a parked END waited, the name
+        # may have been rebound
         if session.txns.get(name) is txn:
             session.txns.pop(name, None)
         return "OK ENDED %s" % name
@@ -911,35 +882,28 @@ class LockServer:
             return "ERR NOT-HELD %s %s" % (name, path)
         return "OK RELEASED %s %s" % (name, path)
 
-    async def _lock(
-        self,
-        conn,
-        session: _Session,
-        verb: str,
-        name: str,
-        path: str,
-        nowait: bool,
-    ) -> str:
+    def _lock(
+        self, session: _Session, verb: str, name: str, path: str, nowait
+    ):
         txn = self._live_txn(session, name)
         if txn is None:
             return "ERR NOTXN %s" % name
         resource, err = self._parse_resource(path)
         if err is not None:
             return err
-        return await self._lock_resource(
-            conn, session, name, resource, path, _PLAN_VERBS[verb], nowait
+        return self._lock_resource(
+            session, name, resource, path, _PLAN_VERBS[verb], nowait
         )
 
-    async def _lock_resource(
+    def _lock_resource(
         self,
-        conn,
         session: _Session,
         name: str,
         resource: tuple,
         path: str,
         mode: LockMode,
         nowait: bool,
-    ) -> str:
+    ):
         txn = self._live_txn(session, name)
         if txn is None:
             return "ERR NOTXN %s" % name
@@ -954,13 +918,11 @@ class LockServer:
             except (AuthorizationError, ProtocolError) as exc:
                 return "ERR DENIED %s %s" % (name, exc)
             steps = [(step.resource, step.mode) for step in plan]
-        return await self._run_steps(
-            conn, session, txn, name, path, steps, nowait
-        )
+        return self._run_steps(session, txn, name, path, steps, nowait)
 
-    async def _acquire_many(
-        self, conn, session: _Session, name: str, spec: str, nowait: bool
-    ) -> str:
+    def _acquire_many(
+        self, session: _Session, name: str, spec: str, nowait: bool
+    ):
         txn = self._live_txn(session, name)
         if txn is None:
             return "ERR NOTXN %s" % name
@@ -981,81 +943,86 @@ class LockServer:
             if err is not None:
                 return err
             steps.append((resource, mode))
-        return await self._run_steps(
-            conn, session, txn, name, spec, steps, nowait
-        )
+        return self._run_steps(session, txn, name, spec, steps, nowait)
 
     # -- plan execution -------------------------------------------------------
 
-    async def _run_steps(
-        self, conn, session: _Session, txn, name: str, what: str, steps, nowait
-    ) -> str:
-        """Acquire an ordered plan: one synchronous manager pass, resumed
-        after every wait.
+    def _run_steps(
+        self, session: _Session, txn, name, what, steps, nowait, submitted=0
+    ):
+        """Acquire an ordered plan with one synchronous manager pass.
 
         ``acquire_many`` stops at the first step that blocks and returns
-        it WAITING as its last element; the frame then parks on a future
-        resolved by ``on_wake`` (grant), the detector (deadlock victim)
-        or the timeout path (cancel + ERR TIMEOUT, earlier prefix stays
-        held — the client chooses between retry and END).  Once granted,
-        the pass resumes with the steps after the blocked one, so every
-        step is covered or granted when ``OK GRANTED`` is written.
+        it WAITING as its last element.  The frame then parks: the grant
+        future is registered (resolved by ``on_wake`` on grant, or by
+        the detector for a deadlock victim) and the detector nudged
+        right here, before control returns to the read loop — so a
+        release dispatched later in the same read cannot be missed — and
+        the continuation is returned for the caller to await or spawn.
+        It waits out the blocked request, then submits the steps after
+        it, which may park again; a deadlock or timeout answers ERR and
+        the granted prefix stays held (the client chooses between retry
+        and END).  ``OK GRANTED`` means every step is covered or granted.
         """
-        session.begin_frame(name)
-        try:
-            submitted = 0
-            while steps:
-                try:
-                    requests = self.manager.acquire_many(
-                        txn, steps, long=txn.long, wait=not nowait
-                    )
-                except LockConflictError as exc:
-                    return "ERR CONFLICT %s %s" % (
-                        name,
-                        "/".join(str(p) for p in exc.resource),
-                    )
-                except LockTimeoutError:
-                    # an injected mid-batch timeout: the prefix stays
-                    # granted, the client decides between retry / END
-                    self.stats["timeouts"] += 1
-                    return "ERR TIMEOUT %s %s" % (name, what)
-                except FaultInjected:
-                    # an injected fault (error or abort action) during
-                    # the batch: abort the transaction — the universal
-                    # cleaner — and report; the session entry goes too
-                    self._abort_txn(txn)
-                    session.txns.pop(name, None)
-                    return "ERR FAULT %s %s" % (name, what)
-                submitted += len(requests)
-                if not requests or requests[-1].granted:
-                    break
-                blocked = requests[-1]
-                outcome = await self._await_grant(conn, session, name, blocked)
-                if outcome is not None:
-                    return outcome
-                # a covered pair is pruned and never blocks, so the first
-                # match is the step that blocked
-                steps = steps[
-                    steps.index((blocked.resource, blocked.mode)) + 1 :
-                ]
+        requests: List[LockRequest] = []
+        if steps:
+            try:
+                requests = self.manager.acquire_many(
+                    txn, steps, long=txn.long, wait=not nowait
+                )
+            except LockConflictError as exc:
+                return "ERR CONFLICT %s %s" % (
+                    name,
+                    "/".join(str(p) for p in exc.resource),
+                )
+            except LockTimeoutError:
+                # an injected mid-batch timeout: the prefix stays
+                # granted, the client decides between retry / END
+                self.stats["timeouts"] += 1
+                return "ERR TIMEOUT %s %s" % (name, what)
+            except FaultInjected:
+                # an injected fault (error or abort action) during the
+                # batch: abort the transaction — the universal cleaner —
+                # and report; the session entry goes too
+                self._abort_txn(txn)
+                session.txns.pop(name, None)
+                return "ERR FAULT %s %s" % (name, what)
+        submitted += len(requests)
+        if not requests or requests[-1].granted:
             return "OK GRANTED %s %s steps=%d" % (name, what, submitted)
-        finally:
-            session.end_frame(name)
-
-    async def _await_grant(
-        self, conn, session: _Session, name: str, request
-    ) -> Optional[str]:
-        """Park on ``request``; None when granted, an ERR frame otherwise."""
-        future = asyncio.get_running_loop().create_future()
-        self._futures[request] = future
+        blocked = requests[-1]
+        future = self._futures[blocked] = self._loop.create_future()
         if self._nudge is not None:
             self._nudge.set()  # a new wait edge: run the detector early
+        session.begin_frame(name)
+
+        async def resume() -> str:
+            try:
+                outcome = await self._await_grant(
+                    session, name, blocked, future
+                )
+                if outcome is not None:
+                    return outcome
+                # a covered pair is pruned and never blocks, so the
+                # first match is the step that blocked
+                at = steps.index((blocked.resource, blocked.mode)) + 1
+                response = self._run_steps(
+                    session, txn, name, what, steps[at:], nowait, submitted
+                )
+                if not isinstance(response, str):
+                    response = await response
+                return response
+            finally:
+                session.end_frame(name)
+
+        return resume()
+
+    async def _await_grant(
+        self, session: _Session, name: str, request, future
+    ) -> Optional[str]:
+        """Wait on ``request``'s registered future; None when granted, an
+        ERR frame otherwise."""
         try:
-            # this frame is parking: later pipelined frames may begin
-            session.release_order()
-            # a pipelined batch must not sit on completed answers while
-            # this frame waits: flush what is already queued, then park
-            await self._flush(conn)
             await asyncio.wait_for(future, self.lock_timeout)
             return None
         except DeadlockError:

@@ -25,7 +25,9 @@ the request path.  Three things genuinely cross shards:
 
 Routing is a pure function of the interned id: the router interner is
 append-only (ids are never reused), so ``shard_of`` is stable across
-interner growth and a compiled plan's resources never migrate.
+interner growth and a compiled plan's resources never migrate.  That is
+what lets the manager memoize resource -> shard table on first touch:
+every routed call after it is one dict probe.
 """
 
 from __future__ import annotations
@@ -313,6 +315,9 @@ class ShardedLockManager:
         #: shards — the walk order of :meth:`release_all`, which is what
         #: keeps EOT wake order identical to the single table's
         self._txn_order: Dict[object, Dict[object, None]] = {}
+        #: resource -> owning shard table, filled from ``shard_of`` on
+        #: first touch (ids never move, so an entry never goes stale)
+        self._shard_tables: Dict[object, LockTable] = {}
         #: optional callback(list-of-woken-LockRequests), invoked after
         #: any release/cancel that granted queued waiters — the asyncio
         #: server resolves its wait futures from here
@@ -324,7 +329,12 @@ class ShardedLockManager:
         return shard_of(self.router, resource, self.n_shards)
 
     def shard_table(self, resource) -> LockTable:
-        return self.shards[self.shard_of(resource)]
+        table = self._shard_tables.get(resource)
+        if table is None:
+            table = self._shard_tables[resource] = self.shards[
+                self.shard_of(resource)
+            ]
+        return table
 
     def set_age_of(self, age_of) -> "ShardedLockManager":
         self.detector.set_age_of(age_of)
@@ -385,13 +395,14 @@ class ShardedLockManager:
         """
         out: List[LockRequest] = []
         run: List[Tuple[object, LockMode]] = []
-        run_shard = -1
+        run_table = None
         blocked = False
+        shard_table = self.shard_table
         try:
             for resource, mode in steps:
-                shard = self.shard_of(resource)
-                if shard != run_shard and run:
-                    granted = self.shards[run_shard].request_many(
+                table = shard_table(resource)
+                if table is not run_table and run:
+                    granted = run_table.request_many(
                         txn, run, long=long, wait=wait
                     )
                     out.extend(granted)
@@ -399,13 +410,11 @@ class ShardedLockManager:
                     if granted and not granted[-1].granted:
                         blocked = True
                         break
-                run_shard = shard
+                run_table = table
                 run.append((resource, mode))
             if run and not blocked:
                 out.extend(
-                    self.shards[run_shard].request_many(
-                        txn, run, long=long, wait=wait
-                    )
+                    run_table.request_many(txn, run, long=long, wait=wait)
                 )
         finally:
             # wait=False conflicts raise mid-plan with the prefix granted
@@ -489,7 +498,7 @@ class ShardedLockManager:
         return self.table.held_mode(txn, resource)
 
     def holds_at_least(self, txn, resource, mode: LockMode) -> bool:
-        return self.table.holds_at_least(txn, resource, mode)
+        return self.shard_table(resource).holds_at_least(txn, resource, mode)
 
     def locks_of(self, txn) -> Dict[object, LockMode]:
         return {

@@ -1,20 +1,21 @@
 """Pipelined dispatch semantics: in-flight frames, ordering, coalescing.
 
-The binary path dispatches each frame as an ordered task: frames begin
-in arrival order, but a frame that waits (a parked lock) releases the
-order lock so the frames behind it proceed, and responses are matched
-by correlation id.  These tests pin the three
-load-bearing consequences: a parked frame does not head-of-line-block
-the pipeline, END waits for its own transaction's in-flight lock
-frames before committing, and coalesced writes batch multiple
-responses into single flushes.  A last class pins the served deadlock
-outcome over binary clients: which transaction dies and what each side
-is told.
+The server dispatches every binary frame synchronously, in arrival
+order; only a frame that parks (a lock wait, or an END waiting on its
+own transaction's parked frames) continues as a task, and responses are
+matched by correlation id.  These tests pin the load-bearing
+consequences: a parked frame does not head-of-line-block the pipeline,
+END waits for its own transaction's in-flight lock frames before
+committing, a release in the same read as the park still wakes it, an
+unexpected dispatch error drops the connection, and coalesced writes
+batch multiple responses into single flushes.  Further classes pin the
+served deadlock outcome over binary clients (which transaction dies and
+what each side is told) and the pipelined load generator's window.
 """
 
 import asyncio
 
-from repro.service.client import ServiceClient
+from repro.service.client import ServiceClient, run_load
 from repro.service.server import LockServer, make_service_stack
 
 P1 = "db1/seg_parts/parts/p1"
@@ -160,6 +161,71 @@ class TestPipelinedDispatch:
         asyncio.run(go())
 
 
+class TestParkAndWake:
+    def test_release_in_the_same_write_wakes_the_parked_frame(self):
+        """b holds X on p1; a's XLOCK on p1 parks; b's END follows in the
+        same client write and wakes a before a's continuation has run
+        once.  The grant future must be registered when a parks, not
+        when its continuation first runs, or the wake-up is lost: a then
+        sits out the whole lock timeout (whose handler finds the request
+        granted after all), so the answers must come well before it."""
+
+        async def go():
+            server = serve(lock_timeout=5.0)
+            host, port = await server.start()
+            client = await ServiceClient(
+                host, port, binary=True, pipeline_depth=8
+            ).connect()
+            try:
+                futures = [
+                    await client.submit_start("b"),
+                    await client.submit_lock("XLOCK", "b", P1),
+                    await client.submit_start("a"),
+                    await client.submit_lock("XLOCK", "a", P1),
+                    await client.submit_end("b"),
+                    await client.submit_end("a"),
+                ]
+                await client.flush()
+                responses = await asyncio.wait_for(
+                    asyncio.gather(*futures), 1.0
+                )
+                assert responses[1].startswith("OK GRANTED b "), responses
+                assert responses[3].startswith("OK GRANTED a "), responses
+                assert responses[4:] == ["OK ENDED b", "OK ENDED a"]
+                assert server.stats["timeouts"] == 0
+                assert server.manager.lock_count() == 0
+                assert not server._futures
+            finally:
+                await client.close()
+                await server.stop()
+
+        asyncio.run(go())
+
+    def test_unexpected_dispatch_error_drops_the_connection(self):
+        async def go():
+            server = serve()
+            host, port = await server.start()
+            client = await ServiceClient(host, port, binary=True).connect()
+
+            def broken(session, name):
+                raise RuntimeError("dispatch bug")
+
+            server._start = broken
+            loop = asyncio.get_running_loop()
+            loop.set_exception_handler(lambda loop, context: None)
+            try:
+                try:
+                    await asyncio.wait_for(client.start("t"), 2.0)
+                    raise AssertionError("expected the connection to drop")
+                except ConnectionResetError:
+                    pass
+            finally:
+                await client.close()
+                await server.stop()
+
+        asyncio.run(go())
+
+
 class TestServedDeadlock:
     def test_cross_shard_cycle_kills_the_highest_name(self):
         """t1 and t2 cross their demands on p1/p2 over two binary
@@ -200,5 +266,41 @@ class TestServedDeadlock:
                 await c1.close()
                 await c2.close()
                 await server.stop()
+
+        asyncio.run(go())
+
+
+class TestPipelinedLoad:
+    def test_pipelined_window_never_self_deadlocks(self):
+        """Each in-flight frame holds a client pipeline slot.  A window
+        that queued a transaction's frames one slot at a time could
+        leave its END waiting on a slot held by a lock parked behind
+        that END; the lock then timed out on the server.  The generator
+        reaps until the whole next transaction fits, so a write-heavy
+        pipelined run ends with no server timeout."""
+
+        async def go():
+            server = LockServer(
+                make_service_stack("partlib", shards=2),
+                port=0,
+                lock_timeout=1.0,
+            )
+            host, port = await server.start()
+            try:
+                report = await run_load(
+                    host,
+                    port,
+                    clients=8,
+                    duration=2.0,
+                    workload="partlib",
+                    write_ratio=0.2,
+                    binary=True,
+                    pipeline_depth=32,
+                )
+            finally:
+                await server.stop()
+            assert report["server"]["timeouts"] == 0, report
+            assert report["disconnects"] == 0, report
+            assert report["ok"] > 0, report
 
         asyncio.run(go())

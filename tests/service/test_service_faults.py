@@ -72,6 +72,58 @@ class TestMidFrameDisconnect:
 
         asyncio.run(go())
 
+    def test_pipelined_frames_before_the_disconnect_are_undone(self):
+        """Frames decoded ahead of the injected disconnect in the same
+        read have already run (dispatch is synchronous), one of them
+        parked.  The cleanup still aborts the session's transaction and
+        drops the parked frame's grant future, although its continuation
+        was cancelled before it ever ran."""
+
+        async def go():
+            server = LockServer(make_service_stack("partlib", shards=4), port=0)
+            host, port = await server.start()
+            holder = await ServiceClient(host, port).connect()
+            assert (await holder.start("h")).startswith("OK")
+            assert (await holder.xlock("h", M2)).startswith("OK GRANTED")
+            client = await ServiceClient(
+                host, port, binary=True, pipeline_depth=8
+            ).connect()
+            # START t, XLOCK t m1 (granted), XLOCK t m2 (parks behind h),
+            # then the 4th frame drops the connection — all in one write
+            injector = arm(server, FaultSpec("service.frame", occurrence=4))
+            futures = [
+                await client.submit_start("t"),
+                await client.submit_lock("XLOCK", "t", M1),
+                await client.submit_lock("XLOCK", "t", M2),
+                await client.submit_start("u"),
+            ]
+            await client.flush()
+            for future in futures:
+                try:
+                    await asyncio.wait_for(future, 2.0)
+                    raise AssertionError("expected the injected disconnect")
+                except ConnectionResetError:
+                    pass
+            await client.close()
+            table = server.manager.table
+            for _ in range(50):
+                if not table.waiting_requests():
+                    break
+                await asyncio.sleep(0.01)
+            assert injector.fired == 1
+            assert server.stats["injected_disconnects"] == 1
+            # t's granted m1 plan and its queued m2 request are gone
+            assert table.waiting_requests() == []
+            assert {txn.name for txn in table._txn_modes} == {"h"}
+            assert not server._futures, "leaked the parked frame's future"
+            assert (await holder.end("h")).startswith("OK")
+            await holder.close()
+            await asyncio.sleep(0.05)
+            assert_no_leaks(server)
+            await server.stop()
+
+        asyncio.run(go())
+
 
 class TestDetectorDelay:
     def test_skipped_pass_only_delays_detection(self):
