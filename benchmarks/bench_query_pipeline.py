@@ -4,6 +4,8 @@ The phase separation of section 4.1 end to end, measured per stage on
 Figure 3's Q2 and on a larger synthetic instance.
 """
 
+import itertools
+
 import pytest
 
 import repro
@@ -22,8 +24,42 @@ def big_stack():
 
 
 def test_parse(benchmark):
-    query = benchmark(parse_query, Q2)
+    """A full parse: a text of a shape not seen before."""
+    texts = iter(
+        "SELECT r FROM c IN cells, r IN c.robots WHERE c.cell_id = 'c1' "
+        "AND r.robot_id = 'r1' AND r.p%d = 1 FOR UPDATE" % index
+        for index in itertools.count()
+    )
+    query = benchmark(lambda: parse_query(next(texts)))
     assert query.select_var == "r"
+
+
+def test_parse_prepared_hit(benchmark):
+    """A text of a known shape: lift the literals, re-bind the parse."""
+    parse_query(Q2)
+    texts = iter(
+        Q2.replace("'r1'", "'r%d'" % index) for index in itertools.count()
+    )
+    query = benchmark(lambda: parse_query(next(texts)))
+    assert query.shape == parse_query(Q2).shape
+
+
+def test_execute_prepared_hit(benchmark, big_stack):
+    """Execution of a prepared shape, with no lock requested: authorize,
+    bind, evaluate and instantiate, without analysis or optimization."""
+    stack = big_stack
+    stack.authorization.grant_modify("engineer", "cells")
+    stack.authorization.grant_read("engineer", "effectors")
+    text = (
+        "SELECT r FROM c IN cells, r IN c.robots "
+        "WHERE c.cell_id = 'c7' AND r.robot_id = 'r7_3' FOR UPDATE"
+    )
+    txn = stack.txns.begin(principal="engineer")
+    stack.executor.lock_requirements(txn, text)
+    query = parse_query(text)
+    rows, demands = benchmark(stack.executor.lock_requirements, txn, query)
+    stack.txns.commit(txn)
+    assert len(rows) == 1 and demands
 
 
 def test_analyze(benchmark, big_stack):

@@ -28,6 +28,8 @@ class Statistics:
     ``refresh`` scans the database; ``estimate_fanout`` answers optimizer
     queries with a default for never-seen paths (the optimizer must work
     before any data exists, matching the paper's query-analysis phase).
+    ``version`` moves on every change to the recorded estimates, so plans
+    derived from them can be stamped with it.
     """
 
     DEFAULT_FANOUT = 10.0
@@ -36,9 +38,11 @@ class Statistics:
         self.database = database
         self._fanout: Dict[Tuple[str, Tuple], float] = {}
         self._object_counts: Dict[str, int] = {}
+        self.version = 0
 
     def refresh(self):
         """Recompute all statistics by scanning the database."""
+        self.version += 1
         self._fanout.clear()
         self._object_counts.clear()
         sums: Dict[Tuple[str, Tuple], list] = {}
@@ -73,6 +77,7 @@ class Statistics:
 
     def observe_fanout(self, relation_name: str, path, value: float):
         """Directly record a fan-out estimate (used by tests/benchmarks)."""
+        self.version += 1
         self._fanout[(relation_name, schema_path(tuple(path)))] = float(value)
 
 

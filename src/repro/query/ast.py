@@ -143,6 +143,27 @@ class Query:
         self.access = access
         self.assignments = assignments
         self.by_var = by_var
+        self._shape: Optional[str] = None
+
+    @property
+    def shape(self) -> str:
+        """This query with its literal values left out.
+
+        Queries of one shape differ only in the values their predicates
+        compare with and their assignments store; analysis and lock
+        planning never read those values, so one plan serves them all.
+        """
+        shape = self._shape
+        if shape is None:
+            shape = self._shape = repr((
+                self.access,
+                self.select_var,
+                self.select_path,
+                [(b.var, b.relation, b.base_var, b.path) for b in self.bindings],
+                [(p.var, p.path) for p in self.predicates],
+                [(a.var, a.path) for a in self.assignments],
+            ))
+        return shape
 
     def binding_of(self, var: str) -> Binding:
         return self.by_var[var]

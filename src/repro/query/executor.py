@@ -11,12 +11,19 @@ Implements the full pipeline of section 4.1:
    instances, locks are requested from the lock manager through the
    active protocol, and only then is data returned.
 
+Steps 1 and 2 depend on the query's shape (:attr:`Query.shape`), not on
+its literals, so they run once per shape: the result, a
+:class:`PreparedQuery` holding the stored lock graph, is kept until the
+schema, data structure or statistics move.  Step 3, and the
+authorization check before it, run on every execution.
+
 The executor is protocol-agnostic: the same queries run under the paper's
 protocol or any baseline, which is how the benchmarks compare them.
 """
 
 from __future__ import annotations
 
+from collections import OrderedDict
 from typing import List, Optional, Tuple
 
 from repro.errors import QueryError
@@ -43,17 +50,64 @@ class ResultRow:
         return "ResultRow(%r, %r)" % (self.object, self.value)
 
 
+#: distinct query shapes whose prepared plans are kept, oldest dropped first
+PREPARED_SIZE = 256
+
+
+class PreparedQuery:
+    """What the executor derives from a query's shape (section 4.1).
+
+    Analysis, optimization and the storing of granules/modes in the
+    query-specific lock graph happen once per shape; each execution then
+    only evaluates and instantiates.  The plan also depends on the schema,
+    the statistics and the relation sizes, so it is stamped
+    ``(database.structure_version, statistics.version)`` the way compiled
+    lock plans are, and recompiled when the stamp moves.
+    """
+
+    __slots__ = ("stamp", "intents", "graph", "anticipated", "relation", "recipes")
+
+    def __init__(self, database, relation: str, stamp, intents, graph, anticipated):
+        self.stamp = stamp
+        self.intents = intents
+        #: the root relation's query-specific lock graph
+        self.graph = graph
+        #: anticipated escalations planning counted; the optimizer's
+        #: counter is advanced by as many on every execution
+        self.anticipated = anticipated
+        self.relation = relation
+        segment = database.relation(relation).schema.segment
+        #: per annotation: (mode, the relation resource for a relation-level
+        #: granule or None, the granule's schema path below the object)
+        self.recipes = [
+            (
+                annotation.mode,
+                relation_resource(database.name, segment, relation)
+                if annotation.relation_level
+                else None,
+                annotation.path,
+            )
+            for annotation in graph.annotations
+        ]
+
+
 class QueryExecutor:
-    """Executes parsed queries for a transaction under a protocol."""
+    """Executes parsed queries for a transaction under a protocol.
+
+    The optimizer's thresholds are read when a shape is prepared; they are
+    fixed at its construction.
+    """
 
     def __init__(self, protocol, optimizer, analyzer: Optional[QueryAnalyzer] = None):
         self.protocol = protocol
         self.optimizer = optimizer
         self.catalog = protocol.catalog
         self.database = protocol.catalog.database
+        #: must read ``optimizer.statistics``, whose version stamps plans
         self.analyzer = analyzer or QueryAnalyzer(
             self.catalog, optimizer.statistics
         )
+        self._prepared: "OrderedDict[str, PreparedQuery]" = OrderedDict()
 
     # -- public API --------------------------------------------------------------
 
@@ -66,7 +120,6 @@ class QueryExecutor:
         """
         if isinstance(query, str):
             query = parse_query(query)
-        self._check_authorization(txn, query)
         rows, demands = self._bind_and_plan(txn, query)
         for resource, mode in demands:
             self.protocol.request(txn, resource, mode, wait=wait, long=getattr(txn, "long", False))
@@ -110,36 +163,57 @@ class QueryExecutor:
         """
         if isinstance(query, str):
             query = parse_query(query)
-        self._check_authorization(txn, query)
         return self._bind_and_plan(txn, query)
 
     # -- internals ------------------------------------------------------------------
 
-    def _check_authorization(self, txn, query: Query):
+    def _check_authorization(self, txn, relation: str, access: str):
         authorization = self.protocol.authorization
         if authorization is None:
             return
-        relation = query.root_binding().relation
-        if query.access == AccessKind.READ:
+        if access == AccessKind.READ:
             authorization.check_read(txn, relation)
         else:
             authorization.check_modify(txn, relation)
 
-    def _bind_and_plan(self, txn, query: Query):
+    def _prepare(self, txn, query: Query) -> PreparedQuery:
+        """The prepared plan of the query's shape, after checking that
+        ``txn`` may run it (on every execution, before any analysis)."""
+        stamp = (self.database.structure_version, self.optimizer.statistics.version)
+        prepared = self._prepared.get(query.shape)
+        if prepared is not None and prepared.stamp == stamp:
+            self._check_authorization(txn, prepared.relation, query.access)
+            self.optimizer.anticipated += prepared.anticipated
+            return prepared
+        relation = query.root_binding().relation
+        self._check_authorization(txn, relation, query.access)
         intents = self.analyzer.analyze(query)
+        before = self.optimizer.anticipated
         graphs = self.optimizer.plan_query(intents)
-        root = query.root_binding()
-        graph = graphs[root.relation]
+        prepared = PreparedQuery(
+            self.database, relation, stamp, intents, graphs[relation],
+            self.optimizer.anticipated - before,
+        )
+        self._prepared[query.shape] = prepared
+        while len(self._prepared) > PREPARED_SIZE:
+            self._prepared.popitem(last=False)
+        return prepared
 
+    def _bind_and_plan(self, txn, query: Query):
+        prepared = self._prepare(txn, query)
         rows = self._evaluate(query)
         demands: List[Tuple[Tuple, LockMode]] = []
         seen = set()
-        for annotation in graph.annotations:
-            for resource in self._instantiate(annotation, query, rows):
-                key = (resource, annotation.mode)
+        for mode, relation_res, path in prepared.recipes:
+            if relation_res is not None:
+                resources = (relation_res,)
+            else:
+                resources = self._instantiate(prepared.relation, path, rows)
+            for resource in resources:
+                key = (resource, mode)
                 if key not in seen:
                     seen.add(key)
-                    demands.append((resource, annotation.mode))
+                    demands.append(key)
         demands.extend(self._index_demands(query, seen))
         return rows, demands
 
@@ -268,35 +342,26 @@ class QueryExecutor:
 
     # -- lock instantiation ------------------------------------------------------------
 
-    def _instantiate(self, annotation, query: Query, rows: List[ResultRow]):
-        """Concrete resources for one annotation over the result rows."""
-        root = query.root_binding()
-        schema = self.catalog.schema(root.relation)
-        if annotation.relation_level:
-            yield relation_resource(
-                self.database.name, schema.segment, root.relation
-            )
-            return
-        emitted = set()
-        if not rows:
-            # No matching data: lock the relation in intention-compatible
-            # coarse mode?  The paper defers phantoms (section 5); we lock
-            # nothing beyond what the protocol's ancestors already cover.
-            return
-        for row in rows:
-            obj_res = object_resource(self.catalog, root.relation, row.object.key)
-            resource = self._cut_resource(obj_res, row.steps, annotation.path)
-            if resource not in emitted:
-                emitted.add(resource)
-                yield resource
-
-    def _cut_resource(self, obj_res, instance_steps, annotation_path):
-        """Prefix of the row's instance path matching the annotation path."""
+    def _instantiate(self, relation: str, annotation_path, rows: List[ResultRow]):
+        """Each row's instance of the granule at ``annotation_path``: the
+        prefix of the row's path as long as that schema path.  Rows sharing
+        an (object, prefix) pair build the resource once.  (No rows, no
+        locks: the paper defers phantoms to section 5, and the protocol's
+        ancestors cover the rest.)
+        """
         cut = len(annotation_path)
-        steps = tuple(instance_steps)[:cut]
-        if len(steps) < cut:
-            raise QueryError(
-                "annotation path %r longer than instance path %r"
-                % (annotation_path, instance_steps)
+        built = set()
+        for row in rows:
+            prefix = row.steps[:cut]
+            key = (row.object.key, prefix)
+            if key in built:
+                continue
+            built.add(key)
+            if len(prefix) < cut:
+                raise QueryError(
+                    "annotation path %r longer than instance path %r"
+                    % (annotation_path, row.steps)
+                )
+            yield component_resource(
+                object_resource(self.catalog, relation, row.object.key), prefix
             )
-        return component_resource(obj_res, steps)

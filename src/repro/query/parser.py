@@ -13,31 +13,63 @@ Grammar (case-insensitive keywords)::
     literal    := 'string' | integer | float | TRUE | FALSE
 
 Exactly enough to parse the paper's Q1/Q2/Q3 and the workloads' query
-templates.
+templates.  Inside a string literal, ``\\c`` stands for ``c`` for any
+character ``c`` (so ``\\'`` is a quote and ``\\\\`` a backslash).
+
+Texts that differ only in their string and number literals share a
+*shape*.  :func:`parse_query` parses each shape once and re-binds the
+parse to the literals of every later text of that shape: like section
+4.1's analysis, the parse depends on a query's form, not its literals.
 """
 
 from __future__ import annotations
 
 import re
+from collections import OrderedDict
 from typing import List, Optional, Tuple
 
 from repro.errors import QueryError
 from repro.query.ast import AccessKind, Assignment, Binding, Predicate, Query
 
+_STRING = r"'(?:[^'\\]|\\.)*'"
+_NUMBER = r"-?\d+(?:\.\d+)?"
+
 _TOKEN_RE = re.compile(
     r"""
     \s*(?:
-        (?P<string>'(?:[^'\\]|\\.)*')
-      | (?P<number>-?\d+(?:\.\d+)?)
+        (?P<string>%s)
+      | (?P<number>%s)
       | (?P<ident>[A-Za-z_][A-Za-z0-9_]*)
       | (?P<punct>[.,=])
     )
-    """,
+    """ % (_STRING, _NUMBER),
     re.VERBOSE,
 )
 
+#: the tokenizer's literals wherever they start; a digit run glued to a
+#: word character is part of an identifier, never a number
+_LITERAL_RE = re.compile(
+    r"(?=['\d-])(%s|(?<![A-Za-z0-9_])%s)" % (_STRING, _NUMBER)
+)
+
+_ESCAPE_RE = re.compile(r"\\(.)")
+
 _KEYWORDS = {"SELECT", "FROM", "WHERE", "AND", "FOR", "IN", "READ", "UPDATE",
              "DELETE", "SET", "TRUE", "FALSE"}
+
+#: distinct shapes whose parse is kept, oldest dropped first
+SHAPE_MEMO_SIZE = 256
+
+#: shape text -> (parsed query of that shape, number of lifted literals)
+_shapes: "OrderedDict[str, Tuple[Query, int]]" = OrderedDict()
+
+
+def _literal_value(lexeme: str):
+    """The value of one string or number literal as written in a query."""
+    if lexeme[0] == "'":
+        body = lexeme[1:-1]
+        return _ESCAPE_RE.sub(r"\1", body) if "\\" in body else body
+    return float(lexeme) if "." in lexeme else int(lexeme)
 
 
 class _Token:
@@ -62,13 +94,9 @@ def _tokenize(text: str) -> List[_Token]:
                 break
             raise QueryError("cannot tokenize query at %r" % remainder[:20])
         position = match.end()
-        if match.lastgroup == "string":
-            raw = match.group("string")[1:-1]
-            tokens.append(_Token("literal", raw.replace("\\'", "'")))
-        elif match.lastgroup == "number":
-            raw = match.group("number")
-            value = float(raw) if "." in raw else int(raw)
-            tokens.append(_Token("literal", value))
+        if match.lastgroup in ("string", "number"):
+            lexeme = match.group(match.lastgroup)
+            tokens.append(_Token("literal", _literal_value(lexeme)))
         elif match.lastgroup == "ident":
             word = match.group("ident")
             if word.upper() in _KEYWORDS:
@@ -135,7 +163,64 @@ class _Parser:
 
 
 def parse_query(text: str) -> Query:
-    """Parse one query; raises :class:`~repro.errors.QueryError` on errors."""
+    """Parse one query; raises :class:`~repro.errors.QueryError` on errors.
+
+    The text's string and number literals are lifted out in one regex
+    pass; what is left is its shape.  A shape parsed before is re-bound
+    to the new literals; any other text is parsed in full (so errors are
+    those of the full parser) and its shape kept, up to
+    :data:`SHAPE_MEMO_SIZE` shapes.
+    """
+    pieces = _LITERAL_RE.split(text)
+    lexemes = pieces[1::2]
+    shape = "?".join(pieces[0::2])
+    known = _shapes.get(shape)
+    # a count mismatch means a bare '?' in the text took a literal's place
+    if known is not None and known[1] == len(lexemes):
+        return _bind(known[0], [_literal_value(lexeme) for lexeme in lexemes])
+    query = _parse(text)
+    values = [_literal_value(lexeme) for lexeme in lexemes]
+    # the lift agrees with the tokenizer on every text the parser accepts;
+    # checked once per shape, so a disagreement costs a memo entry, never
+    # a wrong parse
+    if _lifted(query) == [(type(value), value) for value in values]:
+        _shapes[shape] = (query, len(values))
+        while len(_shapes) > SHAPE_MEMO_SIZE:
+            _shapes.popitem(last=False)
+        return _bind(query, values)
+    return query
+
+
+def _lifted(query: Query) -> list:
+    """(type, value) of each literal the lifter takes out of the query's
+    text, in text order: all but TRUE/FALSE, which are keywords."""
+    return [
+        (type(clause.value), clause.value)
+        for clause in query.predicates + query.assignments
+        if type(clause.value) is not bool
+    ]
+
+
+def _bind(template: Query, values: list) -> Query:
+    """``template`` with its lifted literals replaced by ``values``."""
+    values = iter(values)
+    return Query(
+        template.select_var,
+        template.bindings,
+        [
+            p if type(p.value) is bool else Predicate(p.var, p.path, next(values))
+            for p in template.predicates
+        ],
+        template.access,
+        template.select_path,
+        assignments=[
+            a if type(a.value) is bool else Assignment(a.var, a.path, next(values))
+            for a in template.assignments
+        ],
+    )
+
+
+def _parse(text: str) -> Query:
     parser = _Parser(_tokenize(text), text)
     parser.expect_keyword("SELECT")
     select_var = parser.expect_ident()

@@ -1,8 +1,11 @@
 """Parser for the HDBL-like subset; Figure 3's queries verbatim."""
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.errors import QueryError
+from repro.query import parser
 from repro.query.ast import AccessKind
 from repro.query.parser import parse_query
 from repro.workloads import Q1, Q2, Q3
@@ -75,6 +78,18 @@ class TestSyntax:
         )
         assert query.predicates[0].value == "o'brien"
 
+    def test_every_escape_stands_for_its_character(self):
+        query = parse_query(
+            r"SELECT c FROM c IN cells WHERE c.cell_id = 'a\\b\q' FOR READ"
+        )
+        assert query.predicates[0].value == "a\\bq"
+
+    def test_literal_ending_in_a_backslash(self):
+        query = parse_query(
+            r"SELECT c FROM c IN cells WHERE c.cell_id = 'dir\\' FOR READ"
+        )
+        assert query.predicates[0].value == "dir\\"
+
     def test_for_delete(self):
         query = parse_query("SELECT c FROM c IN cells FOR DELETE")
         assert query.access == AccessKind.DELETE
@@ -132,3 +147,146 @@ class TestErrors:
     def test_untokenizable_input(self):
         with pytest.raises(QueryError):
             parse_query("SELECT c FROM c IN cells WHERE c.a = 1 FOR READ; DROP")
+
+
+# -- the per-shape memo against a fresh full parse ------------------------------
+
+#: (FROM clause, selected variable, predicate targets, assignable paths)
+SCHEMAS = [
+    ("c IN cells", "c", ["c.cell_id", "c.meta.owner"], ["c.cell_id"]),
+    (
+        "c IN cells, o IN c.c_objects",
+        "o",
+        ["c.cell_id", "o.obj_id", "o.obj_name"],
+        ["o.obj_name", "o.obj_id"],
+    ),
+    (
+        "c IN cells, r IN c.robots",
+        "r",
+        ["c.cell_id", "r.robot_id", "r.trajectory"],
+        ["r.trajectory"],
+    ),
+    ("e IN effectors", "e", ["e.eff_id", "e.tool"], ["e.tool"]),
+    (
+        "a IN assemblies, p IN a.positions",
+        "p",
+        ["a.asm_id", "p.pos_id", "p.quantity"],
+        ["p.quantity"],
+    ),
+    ("m IN materials", "m", ["m.density", "m.mat_id"], ["m.density"]),
+]
+
+_plain = st.sampled_from(list("ab Z5-.=,?_"))
+_escape = st.sampled_from(list("'\\ab?n5")).map(lambda char: "\\" + char)
+_string = st.lists(st.one_of(_plain, _escape), max_size=5).map(
+    lambda parts: "'%s'" % "".join(parts)
+)
+_integer = st.integers(-(10 ** 6), 10 ** 6).map(str)
+_float = st.tuples(
+    st.sampled_from(["", "-"]), st.integers(0, 999), st.integers(0, 999)
+).map(lambda parts: "%s%d.%d" % parts)
+_literal = st.one_of(
+    _string, _integer, _float, st.sampled_from(["TRUE", "FALSE", "true"])
+)
+
+
+@st.composite
+def _query_shape(draw):
+    """A well-formed query text with ``%s`` where each literal goes."""
+    source, select, targets, assignable = draw(st.sampled_from(SCHEMAS))
+    separator = draw(st.sampled_from([" ", "  ", "\t"]))
+    text = "SELECT %s FROM %s" % (select, source)
+    where = draw(st.lists(st.sampled_from(targets), max_size=3))
+    if where:
+        text += " WHERE " + " AND ".join("%s = %%s" % target for target in where)
+    access = draw(st.sampled_from(["READ", "UPDATE", "DELETE"]))
+    text += " FOR " + access
+    assignments = []
+    if access == "UPDATE":
+        assignments = draw(st.lists(st.sampled_from(assignable), max_size=2))
+        if assignments:
+            text += " SET " + ", ".join("%s = %%s" % path for path in assignments)
+    return text.replace(" ", separator), len(where) + len(assignments)
+
+
+def _clauses(items):
+    return [(item.var, item.path, type(item.value), item.value) for item in items]
+
+
+def _fields(query):
+    return (
+        query.select_var,
+        query.select_path,
+        query.access,
+        [(b.var, b.relation, b.base_var, b.path) for b in query.bindings],
+        _clauses(query.predicates),
+        _clauses(query.assignments),
+        query.shape,
+    )
+
+
+def _outcome(parse, text):
+    try:
+        return _fields(parse(text))
+    except QueryError as error:
+        return ("QueryError", str(error))
+
+
+@st.composite
+def _bound_twice(draw):
+    shape, slots = draw(_query_shape())
+    first = tuple(draw(_literal) for _ in range(slots))
+    second = tuple(draw(_literal) for _ in range(slots))
+    return shape % first, shape % second
+
+
+class TestShapeMemo:
+    @settings(max_examples=300, deadline=None)
+    @given(_bound_twice())
+    def test_memoized_parse_equals_full_parse(self, texts):
+        for text in texts:  # the second is a memo hit when the shapes agree
+            assert _fields(parse_query(text)) == _fields(parser._parse(text))
+
+    @settings(max_examples=300, deadline=None)
+    @given(
+        _bound_twice(),
+        st.integers(0, 200),
+        st.sampled_from(["insert", "delete", "replace"]),
+        st.sampled_from(list("?'\\-5.=, x@")),
+    )
+    def test_malformed_texts_raise_like_full_parse(self, texts, at, edit, char):
+        valid, other = texts
+        parse_query(valid)  # its shape is now memoized
+        at %= len(other)
+        if edit == "insert":
+            text = other[:at] + char + other[at:]
+        elif edit == "delete":
+            text = other[:at] + other[at + 1:]
+        else:
+            text = other[:at] + char + other[at + 1:]
+        assert _outcome(parse_query, text) == _outcome(parser._parse, text)
+
+    def test_one_shape_bound_to_a_string_then_a_number(self):
+        text = "SELECT o FROM c IN cells, o IN c.c_objects WHERE o.obj_id = %s FOR READ"
+        as_string = parse_query(text % "'5'")
+        as_number = parse_query(text % "5")
+        assert as_string.shape == as_number.shape
+        assert as_string.predicates[0].value == "5"
+        assert as_number.predicates[0].value == 5
+        assert _fields(as_number) == _fields(parser._parse(text % "5"))
+
+    def test_a_bare_placeholder_is_not_a_literal(self):
+        parse_query("SELECT c FROM c IN cells WHERE c.cell_id = 'c1' FOR READ")
+        with pytest.raises(QueryError):
+            parse_query("SELECT c FROM c IN cells WHERE c.cell_id = ? FOR READ")
+
+    def test_memo_stays_at_its_bound(self):
+        parser._shapes.clear()
+        texts = [
+            "SELECT v%d FROM v%d IN cells FOR READ" % (index, index)
+            for index in range(parser.SHAPE_MEMO_SIZE + 40)
+        ]
+        for text in texts:
+            parse_query(text)
+        assert len(parser._shapes) == parser.SHAPE_MEMO_SIZE
+        assert texts[-1] in parser._shapes and texts[0] not in parser._shapes
