@@ -2,16 +2,17 @@
 
 Raw cost of the bookkeeping everything else sits on: grant, re-grant,
 conversion, release, queue processing, waits-for-edge extraction, and
-deadlock detection on a populated table — plus the fast-path ablations
-(dense mode tables vs. the defining dicts, indexed release_all vs. table
-size, memoized deadlock checks).
+deadlock detection on a populated table, one uncontended transaction's
+lifecycle — plus the fast-path ablations (dense mode tables vs. the
+defining dicts, indexed release_all vs. table size, memoized deadlock
+checks).
 """
 
 import time
 
 import pytest
 
-from benchmarks._common import print_table
+from benchmarks._common import ABLATION_FLAGS, print_table
 from repro.locking import LockManager, LockTable
 from repro.locking.modes import (
     ALL_MODES,
@@ -48,6 +49,29 @@ def test_hierarchical_chain_acquire(benchmark):
         manager.release_all("t1")
 
     benchmark(cycle)
+
+
+def test_uncontended_txn_lifecycle(benchmark):
+    """E11f: one uncontended transaction, end to end at the manager.
+
+    A fresh 20-step plan (intention chain, then leaves nobody holds)
+    through ``acquire_many``, then ``release_all``: every step builds its
+    entry already granted and EOT release walks the grants once.  Runs on
+    the dense table on the CI dense-path row.
+    """
+    manager = LockManager(use_dense_path=ABLATION_FLAGS["use_dense_path"])
+    chain = [("db",), ("db", "seg"), ("db", "seg", "rel"), ("db", "seg", "rel", "o")]
+    plan = [(resource, IX) for resource in chain]
+    plan += [(chain[-1] + ("m%d" % i,), S) for i in range(20 - len(chain))]
+
+    def lifecycle():
+        granted = manager.acquire_many("t1", plan)
+        manager.release_all("t1")
+        return len(granted)
+
+    assert benchmark(lifecycle) == len(plan) == 20
+    assert manager.lock_count() == 0
+    assert manager.table._entries == {}
 
 
 def test_regrant_of_held_mode(benchmark):

@@ -35,6 +35,7 @@ from typing import Dict, List, Optional
 
 from repro.locking import _densecore as core  # noqa: F401  (re-exported)
 from repro.locking.lock_table import (
+    GRANTED,
     LockRequest,
     LockTable,
     _HeldLock,
@@ -124,10 +125,15 @@ class DenseLockTable(LockTable):
             entry.waits_cache = None
             self._entry_pool.append(entry)
 
-    def _new_held(self) -> _HeldLock:
+    def _new_held(self, mode: LockMode, long: bool) -> _HeldLock:
         if self._held_pool:
-            return self._held_pool.pop()
-        return _HeldLock()
+            held = self._held_pool.pop()
+            held.modes.append(mode)
+            held.mode = mode
+            held.code = mode.code
+            held.long = long
+            return held
+        return _HeldLock(mode, long)
 
     def _retire_held(self, held: _HeldLock):
         if self.pool_records and len(self._held_pool) < _POOL_MAX:
@@ -184,10 +190,9 @@ class DenseLockTable(LockTable):
                 if held_code >= 0 and covers[held_code * N_MODES + code]:
                     continue  # covered: pruned without touching counters
             self.requests += 1
-            self._clock += 1
             resource = resource_of(rid)
             request = self._submit(
-                self._entry_for(resource),
+                self._entries.get(resource),
                 txn,
                 resource,
                 MODES_BY_CODE[code],
@@ -195,6 +200,6 @@ class DenseLockTable(LockTable):
                 wait,
             )
             out.append(request)
-            if not request.granted:
+            if request.status is not GRANTED:
                 break
         return out

@@ -17,12 +17,19 @@ Counting conventions (used by the benchmarks):
 * ``requests`` / ``immediate_grants`` / ``waits`` — request outcomes;
 * ``max_entries`` — high-water mark of lock-table size (the paper's
   "administration of locks" overhead).
+
+The uncontended lifecycle is one step per layer.  A request for a
+resource nobody holds or waits on builds its entry already granted
+(:meth:`LockTable._submit`); EOT release (rule 5, :meth:`LockTable.
+release_all`) walks the transaction's grants once in grant order and
+drops its owned set and held-mode summary wholesale afterwards, waking
+only entries that have queues and retiring empty entries inline.
 """
 
 from __future__ import annotations
 
-from collections import OrderedDict, deque
-from itertools import repeat
+from collections import deque
+from itertools import count, repeat
 from typing import Deque, Dict, Iterable, List, Optional, Sequence, Set, Tuple
 
 from repro.errors import LockConflictError, LockError
@@ -42,6 +49,10 @@ class RequestStatus:
     GRANTED = "granted"
     WAITING = "waiting"
     CANCELLED = "cancelled"
+
+
+#: ``RequestStatus.GRANTED``, for the hot loops' identity tests
+GRANTED = RequestStatus.GRANTED
 
 
 class LockRequest:
@@ -66,6 +77,8 @@ class LockRequest:
         self.status = RequestStatus.WAITING
         self.long = long
         self.is_conversion = is_conversion
+        #: position in its table's enqueue sequence (None until the
+        #: request waits; shards of one manager share the sequence)
         self.enqueued_at = None
 
     @property
@@ -93,13 +106,14 @@ class _HeldLock:
 
     __slots__ = ("modes", "long", "mode", "code")
 
-    def __init__(self):
-        self.modes: List[LockMode] = []
-        self.long = False
-        self.mode: Optional[LockMode] = None
+    def __init__(self, mode: Optional[LockMode] = None, long: bool = False):
+        """A record holding nothing, or already granted ``mode``."""
+        self.modes: List[LockMode] = [] if mode is None else [mode]
+        self.long = long
+        self.mode = mode
         #: int twin of ``mode`` (-1 when nothing is held), kept in
         #: lockstep: the entry's group mode counts holders by it
-        self.code = -1
+        self.code = -1 if mode is None else mode.code
 
     def push(self, mode: LockMode, long: bool):
         self.modes.append(mode)
@@ -120,14 +134,23 @@ class _HeldLock:
         self.code = effective.code
 
 
+def eot_order(owned: Iterable[object], waiting: Iterable[LockRequest]):
+    """The resources EOT release walks, as an ordered dict: ``owned``
+    (first-grant order), then those only waited on, in enqueue order."""
+    resources = dict.fromkeys(owned)
+    for request in waiting:
+        resources.setdefault(request.resource)
+    return resources
+
+
 class _ResourceEntry:
     __slots__ = (
         "granted", "held", "conversions", "queue", "version", "waits_cache"
     )
 
     def __init__(self):
-        # txn -> _HeldLock, in grant order (OrderedDict for determinism)
-        self.granted: "OrderedDict[object, _HeldLock]" = OrderedDict()
+        #: txn -> _HeldLock, in grant order (dicts keep insertion order)
+        self.granted: Dict[object, _HeldLock] = {}
         #: the group mode: holders of ``granted`` counted per mode code,
         #: packed as ``sum(HELD_UNIT[held.code])`` (see repro.locking.modes).
         #: Updated inline wherever a held mode changes — the grant tests
@@ -186,10 +209,11 @@ class LockTable:
         #: least this mode?" is one dict probe instead of two — the hot
         #: question of plan filtering and batched acquisition.
         self._txn_modes: Dict[object, Dict[object, LockMode]] = {}
-        #: txn -> waiting requests (conversion or queued); lets release_all
-        #: and deadlock victim handling find a transaction's waits without
-        #: scanning every resource entry
-        self._txn_waiting: Dict[object, Set[LockRequest]] = {}
+        #: txn -> {waiting request: None} (conversion or queued), in
+        #: enqueue order; lets release_all and deadlock victim handling
+        #: find a transaction's waits without scanning every resource
+        #: entry, and makes the cancel order of EOT release the wait order
+        self._txn_waiting: Dict[object, Dict[LockRequest, None]] = {}
         #: global wait-graph version: bumped with every entry change, so
         #: the deadlock detector can skip re-detection on a quiescent table
         self.wait_graph_version = 0
@@ -200,7 +224,8 @@ class LockTable:
         self.summary_version = 0
         #: times a batched pass had to re-fetch its hoisted summary
         self.summary_rebuilds = 0
-        self._clock = 0
+        #: stamps ``LockRequest.enqueued_at`` of every wait
+        self._enqueue_seq = count()
         #: ablation switch: when True, a new request compatible with every
         #: *holder* is granted even while incompatible requests queue —
         #: higher read concurrency, but writers can starve (the classic
@@ -234,7 +259,10 @@ class LockTable:
 
     def holds_at_least(self, txn, resource, mode: LockMode) -> bool:
         """Does ``txn`` hold ``resource`` in at least ``mode``?"""
-        held = self.held_mode(txn, resource)
+        modes = self._txn_modes.get(txn)
+        if modes is None:
+            return False
+        held = modes.get(resource)
         return held is not None and covers(held, mode)
 
     def resources_of(self, txn) -> Set[object]:
@@ -266,12 +294,13 @@ class LockTable:
         self.wait_graph_version += 1
 
     def _enqueue_wait(self, request: LockRequest):
-        self._txn_waiting.setdefault(request.txn, set()).add(request)
+        request.enqueued_at = next(self._enqueue_seq)
+        self._txn_waiting.setdefault(request.txn, {})[request] = None
 
     def _dequeue_wait(self, request: LockRequest):
         waiting = self._txn_waiting.get(request.txn)
         if waiting is not None:
-            waiting.discard(request)
+            waiting.pop(request, None)
             if not waiting:
                 del self._txn_waiting[request.txn]
 
@@ -287,9 +316,8 @@ class LockTable:
         :class:`LockConflictError` instead of queueing.
         """
         self.requests += 1
-        self._clock += 1
         return self._submit(
-            self._entry_for(resource), txn, resource, mode, long, wait
+            self._entries.get(resource), txn, resource, mode, long, wait
         )
 
     def request_many(
@@ -314,6 +342,7 @@ class LockTable:
         deadlock check per plan instead of one per lock.
         """
         out: List[LockRequest] = []
+        entries = self._entries
         # Hoist the summary-dict fetch out of the loop: for a fully
         # covered batch (the hot re-demand case) the held set never
         # changes, so one fetch serves every step.  A grant inside the
@@ -331,74 +360,79 @@ class LockTable:
                 if held_mode is not None and covers(held_mode, mode):
                     continue  # already satisfied: pruned, not re-requested
             self.requests += 1
-            self._clock += 1
             request = self._submit(
-                self._entry_for(resource), txn, resource, mode, long, wait
+                entries.get(resource), txn, resource, mode, long, wait
             )
             out.append(request)
-            if not request.granted:
+            if request.status is not GRANTED:
                 break
         return out
 
     def _submit(
         self, entry, txn, resource, mode: LockMode, long: bool, wait: bool
     ) -> LockRequest:
-        """Grant/queue one counted request against its resource entry."""
+        """Grant/queue one counted request against ``resource``'s entry
+        (None: nobody holds or waits on it — the entry is built granted)."""
         if self.fault_injector is not None:
             self.fault_injector.fire(
                 "lock.enqueue", txn=txn, resource=resource, mode=mode
             )
-        held = entry.granted.get(txn)
-
-        if held is not None:
-            target = supremum(held.mode, mode)
-            request = LockRequest(txn, resource, mode, target, long, True)
-            if target == held.mode:
-                # Re-request of an already covered mode: always grantable.
-                held.push(mode, long)
+        if entry is None:
+            entry = self._entries[resource] = self._new_entry(resource)
+            if len(self._entries) > self.max_entries:
+                self.max_entries = len(self._entries)
+            request = LockRequest(txn, resource, mode, mode, long, False)
+        else:
+            held = entry.granted.get(txn)
+            if held is not None:  # a conversion, or a covered re-request
+                target = supremum(held.mode, mode)
+                request = LockRequest(txn, resource, mode, target, long, True)
+                if target == held.mode:
+                    held.push(mode, long)
+                elif self._conversion_grantable(entry, txn, target):
+                    entry.held += HELD_UNIT[target.code] - HELD_UNIT[held.code]
+                    held.push(mode, long)
+                    self._summary_set(txn, resource, held.mode)
+                    self._touch(entry)
+                else:
+                    return self._refused(entry, request, wait)
                 request.status = RequestStatus.GRANTED
                 self.immediate_grants += 1
                 return request
-            if self._conversion_grantable(entry, txn, target):
-                entry.held += HELD_UNIT[target.code] - HELD_UNIT[held.code]
-                held.push(mode, long)
-                self._summary_set(txn, resource, held.mode)
-                self._touch(entry)
-                request.status = RequestStatus.GRANTED
-                self.immediate_grants += 1
-                return request
-            if not wait:
-                entry_holders = self.holders(resource)
-                raise LockConflictError(
-                    "conversion of %r on %r to %s conflicts with %r"
-                    % (txn, resource, target, entry_holders),
-                    resource=resource,
-                    requested=target,
-                    holders=entry_holders.items(),
-                )
-            request.enqueued_at = self._clock
-            entry.conversions.append(request)
-            self._enqueue_wait(request)
-            self._touch(entry)
-            self.waits += 1
-            return request
+            request = LockRequest(txn, resource, mode, mode, long, False)
+            if (entry.conversions or entry.queue) and not self.reader_bypass:
+                return self._refused(entry, request, wait)
+            if entry.held & CONFLICT_MASK[mode.code]:
+                self.conflict_tests += self._refusal_cost(entry, txn, mode)
+                return self._refused(entry, request, wait)
+            self.conflict_tests += len(entry.granted)
+        self._grant(entry, request, None)
+        self.immediate_grants += 1
+        return request
 
-        request = LockRequest(txn, resource, mode, mode, long, False)
-        if self._new_grantable(entry, txn, mode):
-            self._grant(entry, request)
-            self.immediate_grants += 1
-            return request
+    def _refused(self, entry, request: LockRequest, wait: bool) -> LockRequest:
+        """``request`` cannot be granted now: queue it, or raise
+        :class:`LockConflictError` with ``wait=False``."""
         if not wait:
-            entry_holders = self.holders(resource)
+            holders = self.holders(request.resource)
+            if request.is_conversion:
+                message = "conversion of %r on %r to %s conflicts with %r" % (
+                    request.txn, request.resource, request.target_mode, holders
+                )
+            else:
+                message = "%s on %r for %r conflicts with %r" % (
+                    request.mode, request.resource, request.txn, holders
+                )
             raise LockConflictError(
-                "%s on %r for %r conflicts with %r"
-                % (mode, resource, txn, entry_holders),
-                resource=resource,
-                requested=mode,
-                holders=entry_holders.items(),
+                message,
+                resource=request.resource,
+                requested=request.target_mode,
+                holders=holders.items(),
             )
-        request.enqueued_at = self._clock
-        entry.queue.append(request)
+        if request.is_conversion:
+            entry.conversions.append(request)
+        else:
+            entry.queue.append(request)
         self._enqueue_wait(request)
         self._touch(entry)
         self.waits += 1
@@ -435,47 +469,60 @@ class LockTable:
     def release_all(self, txn, keep_long: bool = False) -> List[LockRequest]:
         """Release every lock of ``txn`` (EOT release, rule 5).
 
+        One pass over the transaction's grants in first-grant order, then
+        over the resources it only waits on in enqueue order (which makes
+        the wake order deterministic); see :meth:`_release_resource`.  The
+        owned set and the held-mode summary are dropped once at the end,
+        with one ``summary_version`` bump.  Any waiting requests of
+        ``txn`` are cancelled as well.
+
         With ``keep_long=True`` only short locks are dropped — used when a
-        workstation transaction hands over to a long check-out lock.
-        Cancels any waiting requests of ``txn`` as well.
+        workstation transaction hands over to a long check-out lock; the
+        kept locks stay indexed, so each dropped one is unindexed as it
+        goes.
         """
         if self.fault_injector is not None:
             self.fault_injector.fire("lock.release", txn=txn, resource=None)
         woken: List[LockRequest] = []
-        resources = list(self._txn_resources.get(txn, ()))
-        touched = set(resources)
-        # Resources the txn does not hold but waits on come from the
-        # per-transaction waiting index — the seed scanned every resource
-        # entry in the table here.
-        for request in self.waiting_requests_of(txn):
-            if request.resource not in touched:
-                touched.add(request.resource)
-                resources.append(request.resource)
-        for resource in resources:
-            woken.extend(self._release_resource(txn, resource, keep_long))
+        for resource in eot_order(
+            self._txn_resources.get(txn, ()), self._txn_waiting.get(txn, ())
+        ):
+            self._release_resource(txn, resource, keep_long, woken)
         if not keep_long:
             self._txn_resources.pop(txn, None)
             self._summary_clear(txn)
         return woken
 
-    def _release_resource(
-        self, txn, resource, keep_long: bool = False
-    ) -> List[LockRequest]:
-        """EOT release of one resource: the per-resource body of
-        :meth:`release_all`, factored out so a sharded deployment can walk
-        a *global* grant-order resource list while each resource's entry
-        work happens on its own shard (see repro.service.sharded)."""
+    def _release_resource(self, txn, resource, keep_long: bool, woken: list):
+        """EOT release of one resource, appending what it wakes to
+        ``woken``: the per-resource body of :meth:`release_all`, factored
+        out so a sharded deployment can walk a *global* grant-order
+        resource list while each resource's entry work happens on its own
+        shard (see repro.service.sharded).
+
+        Without ``keep_long`` the owned set and the summary still list
+        ``resource`` afterwards: the caller drops them wholesale.
+        """
         entry = self._entries.get(resource)
         if entry is None:
-            return []
+            return
         held = entry.granted.get(txn)
         if held is not None and not (keep_long and held.long):
-            self._drop_grant(entry, txn, resource, held)
-            self._touch(entry)
-        self._cancel_waiting(entry, txn)
-        woken = self._process_queue(entry)
-        self._drop_if_empty(resource, entry)
-        return woken
+            if keep_long:
+                self._drop_grant(entry, txn, resource, held)
+            else:
+                del entry.granted[txn]
+                entry.held -= HELD_UNIT[held.code]
+                self._retire_held(held)
+            entry.version += 1
+            self.wait_graph_version += 1
+        if entry.conversions or entry.queue:
+            if txn in self._txn_waiting:
+                self._cancel_waiting(entry, txn)
+            woken.extend(self._process_queue(entry))
+        if not (entry.granted or entry.conversions or entry.queue):
+            del self._entries[resource]
+            self._retire_entry(resource, entry)
 
     def cancel(self, request: LockRequest) -> List[LockRequest]:
         """Withdraw a waiting request (deadlock victim / timeout)."""
@@ -659,8 +706,9 @@ class LockTable:
 
     # -- internals -------------------------------------------------------------
 
-    # The one grant test: a mode is compatible with every other holder iff
-    # the entry's group mode has no holder in a conflicting field.
+    # The grant test (here and in ``_submit``): a mode is compatible with
+    # every other holder iff the entry's group mode has no holder in a
+    # conflicting field.
     # ``conflict_tests`` advances by what a sequential scan of ``granted``
     # would have examined — every other holder on a grant, and on a
     # refusal the (then really walked) prefix up to the first incompatible
@@ -680,16 +728,6 @@ class LockTable:
         self.conflict_tests += self._refusal_cost(entry, txn, target)
         return False
 
-    def _new_grantable(self, entry, txn, mode: LockMode) -> bool:
-        """May ``txn``, holding nothing here, be granted ``mode`` now?"""
-        if (entry.conversions or entry.queue) and not self.reader_bypass:
-            return False
-        if not entry.held & CONFLICT_MASK[mode.code]:
-            self.conflict_tests += len(entry.granted)
-            return True
-        self.conflict_tests += self._refusal_cost(entry, txn, mode)
-        return False
-
     def _refusal_cost(self, entry, txn, mode: LockMode) -> int:
         """Holders other than ``txn`` up to the first one incompatible
         with ``mode``, that one included."""
@@ -704,30 +742,25 @@ class LockTable:
 
     # -- allocation and summary hooks (overridden by the dense table) --------
 
-    def _entry_for(self, resource) -> _ResourceEntry:
-        """The entry of ``resource``, creating (via the hook) if absent."""
-        entry = self._entries.get(resource)
-        if entry is None:
-            entry = self._new_entry(resource)
-            self._entries[resource] = entry
-            if len(self._entries) > self.max_entries:
-                self.max_entries = len(self._entries)
-        return entry
-
     def _new_entry(self, resource) -> _ResourceEntry:
         return _ResourceEntry()
 
     def _retire_entry(self, resource, entry: _ResourceEntry):
         """``entry`` left the table (guaranteed empty)."""
 
-    def _new_held(self) -> _HeldLock:
-        return _HeldLock()
+    def _new_held(self, mode: LockMode, long: bool) -> _HeldLock:
+        """A holder record already granted ``mode``."""
+        return _HeldLock(mode, long)
 
     def _retire_held(self, held: _HeldLock):
         """``held`` left its entry's granted map."""
 
     def _summary_set(self, txn, resource, mode: LockMode):
-        self._txn_modes.setdefault(txn, {})[resource] = mode
+        modes = self._txn_modes.get(txn)
+        if modes is None:
+            self._txn_modes[txn] = {resource: mode}
+        else:
+            modes[resource] = mode
         self.summary_version += 1
 
     def _summary_drop(self, txn, resource):
@@ -744,30 +777,40 @@ class LockTable:
 
     def _drop_grant(self, entry, txn, resource, held: _HeldLock):
         """Take ``txn``'s whole grant ``held`` on ``resource`` out of the
-        table: the one way a holder leaves ``entry.granted``."""
+        table, unindexing it (``release_all`` without ``keep_long`` drops
+        the indexes wholesale instead)."""
         del entry.granted[txn]
         entry.held -= HELD_UNIT[held.code]
         owned = self._txn_resources.get(txn)
         if owned is not None:
             owned.pop(resource, None)
+            if not owned:
+                del self._txn_resources[txn]
         self._summary_drop(txn, resource)
         self._retire_held(held)
 
-    def _grant(self, entry, request: LockRequest):
-        held = entry.granted.get(request.txn)
+    def _grant(self, entry, request: LockRequest, held: Optional[_HeldLock]):
+        """Grant ``request``; ``held`` is its txn's record on ``entry``
+        (None: a new holder)."""
+        txn = request.txn
+        resource = request.resource
+        mode = request.mode
         if held is None:
-            held = self._new_held()
-            entry.granted[request.txn] = held
-            held.push(request.mode, request.long)
-            entry.held += HELD_UNIT[held.code]
+            held = entry.granted[txn] = self._new_held(mode, request.long)
+            entry.held += HELD_UNIT[mode.code]
         else:
             before = held.code
-            held.push(request.mode, request.long)
+            held.push(mode, request.long)
             entry.held += HELD_UNIT[held.code] - HELD_UNIT[before]
         request.status = RequestStatus.GRANTED
-        self._txn_resources.setdefault(request.txn, {})[request.resource] = None
-        self._summary_set(request.txn, request.resource, held.mode)
-        self._touch(entry)
+        owned = self._txn_resources.get(txn)
+        if owned is None:
+            self._txn_resources[txn] = {resource: None}
+        else:
+            owned[resource] = None
+        self._summary_set(txn, resource, held.mode)
+        entry.version += 1
+        self.wait_graph_version += 1
 
     def _process_queue(self, entry) -> List[LockRequest]:
         """Grant now-compatible waiters; conversions first, then FIFO."""
@@ -805,7 +848,7 @@ class LockTable:
                     break
                 entry.queue.popleft()
                 self._dequeue_wait(request)
-                self._grant(entry, request)
+                self._grant(entry, request, entry.granted.get(request.txn))
                 woken.append(request)
                 progressed = True
         return woken

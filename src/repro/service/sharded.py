@@ -32,13 +32,17 @@ every routed call after it is one dict probe.
 
 from __future__ import annotations
 
+from operator import attrgetter
 from typing import Dict, List, Optional, Set, Tuple
 
 from repro.errors import LockError
 from repro.locking.deadlock import DeadlockDetector
-from repro.locking.lock_table import LockRequest, LockTable
-from repro.locking.modes import LockMode
+from repro.locking.lock_table import GRANTED, LockRequest, LockTable, eot_order
+from repro.locking.modes import LockMode, covers
 from repro.nf2.surrogate import ResourceInterner
+
+
+_ENQUEUED_AT = attrgetter("enqueued_at")
 
 
 def shard_of(router: ResourceInterner, resource, n_shards: int) -> int:
@@ -100,11 +104,13 @@ class _AggregateTable:
         return merged
 
     @property
-    def _txn_waiting(self) -> Dict[object, Set[LockRequest]]:
-        merged: Dict[object, Set[LockRequest]] = {}
+    def _txn_waiting(self) -> Dict[object, Dict[LockRequest, None]]:
+        """txn -> {waiting request: None}, in the global enqueue order."""
+        merged: Dict[object, Dict[LockRequest, None]] = {}
         for shard in self._shards:
-            for txn, waiting in shard._txn_waiting.items():
-                merged.setdefault(txn, set()).update(waiting)
+            for txn in shard._txn_waiting:
+                if txn not in merged:
+                    merged[txn] = dict.fromkeys(self._manager._waiting_of(txn))
         return merged
 
     def holders(self, resource) -> Dict[object, LockMode]:
@@ -114,9 +120,7 @@ class _AggregateTable:
         return self._manager.shard_table(resource).held_mode(txn, resource)
 
     def holds_at_least(self, txn, resource, mode: LockMode) -> bool:
-        return self._manager.shard_table(resource).holds_at_least(
-            txn, resource, mode
-        )
+        return self._manager.holds_at_least(txn, resource, mode)
 
     def resources_of(self, txn) -> Set[object]:
         out: Set[object] = set()
@@ -140,10 +144,7 @@ class _AggregateTable:
         return out
 
     def waiting_requests_of(self, txn) -> List[LockRequest]:
-        out: List[LockRequest] = []
-        for shard in self._shards:
-            out.extend(shard.waiting_requests_of(txn))
-        return out
+        return self._manager._waiting_of(txn)
 
     # -- waits-for union graph ----------------------------------------------
 
@@ -304,6 +305,11 @@ class ShardedLockManager:
                 LockTable(reader_bypass=reader_bypass)
                 for _ in range(n_shards)
             ]
+        # one enqueue sequence for all shards: it orders a transaction's
+        # waits across shards as one table's sequence would
+        enqueue_seq = self.shards[0]._enqueue_seq
+        for shard in self.shards:
+            shard._enqueue_seq = enqueue_seq
         self.use_dense_path = use_dense_path
         self._fault_injector = None
         self.table = _AggregateTable(self)
@@ -396,33 +402,39 @@ class ShardedLockManager:
         out: List[LockRequest] = []
         run: List[Tuple[object, LockMode]] = []
         run_table = None
-        blocked = False
-        shard_table = self.shard_table
+        tables = self._shard_tables
         try:
-            for resource, mode in steps:
-                table = shard_table(resource)
-                if table is not run_table and run:
-                    granted = run_table.request_many(
-                        txn, run, long=long, wait=wait
-                    )
-                    out.extend(granted)
+            for step in steps:
+                table = tables.get(step[0])
+                if table is None:
+                    table = self.shard_table(step[0])
+                if table is not run_table:
+                    if run:
+                        granted = run_table.request_many(txn, run, long, wait)
+                        out.extend(granted)
+                        run = []
+                        if granted and granted[-1].status is not GRANTED:
+                            break
+                    run_table = table
+                run.append(step)
+            else:
+                if run:
+                    out.extend(run_table.request_many(txn, run, long, wait))
                     run = []
-                    if granted and not granted[-1].granted:
-                        blocked = True
-                        break
-                run_table = table
-                run.append((resource, mode))
-            if run and not blocked:
-                out.extend(
-                    run_table.request_many(txn, run, long=long, wait=wait)
-                )
         finally:
-            # wait=False conflicts raise mid-plan with the prefix granted
-            # (the caller's abort path releases it) — the grant-order
-            # index must cover that prefix too
+            # A wait=False conflict (or an injected fault) raises inside a
+            # run with a prefix granted, and the caller's abort path
+            # releases it: the grant-order index must cover ``out`` and
+            # what the raising run's shard granted before it raised.
+            order = self._txn_order.setdefault(txn, {})
             for request in out:
-                if request.granted:
-                    self._note_granted(request)
+                if request.status is GRANTED:
+                    order[request.resource] = None
+            for resource, _ in run:
+                if resource in run_table._txn_modes.get(txn, ()):
+                    order[resource] = None
+            if not order:
+                del self._txn_order[txn]
         if (
             out
             and out[-1].granted
@@ -443,30 +455,23 @@ class ShardedLockManager:
         return woken
 
     def release_all(self, txn, keep_long: bool = False) -> List[LockRequest]:
-        """EOT release across shards, in global first-grant order.
+        """EOT release across shards, in the single table's order.
 
-        Walks the manager's own grant-order index (not any shard's) and
+        Walks the manager's own grant-order index (not any shard's), then
+        the resources the txn only waits on in global enqueue order, and
         runs each resource's release body on its owning shard — wake
-        order is therefore the same global grant order the single table
-        produces.  Waiting-only resources (the txn queued but never got
-        granted) are appended afterwards, as on one table.
+        order is therefore the one the single table produces.
         """
         if self._fault_injector is not None:
             self._fault_injector.fire("lock.release", txn=txn, resource=None)
-        resources = list(self._txn_order.get(txn, ()))
-        touched = set(resources)
-        for shard in self.shards:
-            for request in shard.waiting_requests_of(txn):
-                if request.resource not in touched:
-                    touched.add(request.resource)
-                    resources.append(request.resource)
+        resources = eot_order(self._txn_order.get(txn, ()), self._waiting_of(txn))
         woken: List[LockRequest] = []
+        tables = self._shard_tables
         for resource in resources:
-            woken.extend(
-                self.shard_table(resource)._release_resource(
-                    txn, resource, keep_long
-                )
-            )
+            table = tables.get(resource)
+            if table is None:
+                table = self.shard_table(resource)
+            table._release_resource(txn, resource, keep_long, woken)
         if not keep_long:
             for shard in self.shards:
                 shard._txn_resources.pop(txn, None)
@@ -486,6 +491,16 @@ class ShardedLockManager:
         self._note_woken(woken)
         return woken
 
+    def _waiting_of(self, txn) -> List[LockRequest]:
+        """``txn``'s waiting requests on every shard, in the global
+        enqueue order — the order one table's waiting index keeps."""
+        waiting: List[LockRequest] = []
+        for shard in self.shards:
+            waiting.extend(shard._txn_waiting.get(txn, ()))
+        if len(waiting) > 1:
+            waiting.sort(key=_ENQUEUED_AT)
+        return waiting
+
     def cancel(self, request: LockRequest) -> List[LockRequest]:
         woken = self.shard_table(request.resource).cancel(request)
         self._note_woken(woken)
@@ -498,7 +513,16 @@ class ShardedLockManager:
         return self.table.held_mode(txn, resource)
 
     def holds_at_least(self, txn, resource, mode: LockMode) -> bool:
-        return self.shard_table(resource).holds_at_least(txn, resource, mode)
+        """One memo probe and the owning shard's summary dict: the
+        per-step question of plan filtering."""
+        table = self._shard_tables.get(resource)
+        if table is None:
+            table = self.shard_table(resource)
+        modes = table._txn_modes.get(txn)
+        if modes is None:
+            return False
+        held = modes.get(resource)
+        return held is not None and covers(held, mode)
 
     def locks_of(self, txn) -> Dict[object, LockMode]:
         return {

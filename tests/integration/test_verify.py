@@ -13,6 +13,7 @@ from repro.verify import (
     check_deadlock_verdict,
     check_entry_point_visibility,
     check_group_mode,
+    check_held_index,
     check_intention_chains,
     check_waiting_consistency,
 )
@@ -151,6 +152,29 @@ class TestBrokenStates:
         assert violations and violations[0].rule == "group-mode"
         assert violations[0].resource == resource
         assert "group-mode" in {v.rule for v in audit(figure7_stack.protocol)}
+
+    @pytest.mark.parametrize("forge", ["summary", "owned", "waiting", "empty"])
+    def test_stale_held_index_detected(self, figure7_stack, forge):
+        """Forge each per-transaction index away from the entries: the
+        grant and release fast paths trust them."""
+        from repro.locking.lock_table import _ResourceEntry
+
+        manager = figure7_stack.manager
+        table = manager.table
+        resource = ("db1",)
+        manager.acquire("a", resource, S)
+        assert check_held_index(manager) == []
+        if forge == "summary":
+            table._txn_modes["a"][resource] = X
+        elif forge == "owned":
+            del table._txn_resources["a"][resource]
+        elif forge == "waiting":
+            table._txn_waiting["a"] = {}
+        else:
+            table._entries[("db1", "gone")] = _ResourceEntry()
+        violations = check_held_index(manager)
+        assert violations and violations[0].rule == "held-index"
+        assert "held-index" in {v.rule for v in audit(figure7_stack.protocol)}
 
     def test_coarse_cover_is_not_a_false_positive(self, figure7_stack):
         """A txn holding X on the object and nothing on a component is

@@ -1,0 +1,279 @@
+"""The one-step uncontended lifecycle: fresh-entry grants and one-pass EOT
+release, on the single table, the dense table and the sharded manager —
+pinned scenarios, then a differential over random scripts.
+
+EOT release walks the transaction's grants in first-grant order, then the
+resources it only waits on in enqueue order — never in an order that
+depends on memory addresses or on which shard owns a resource.
+"""
+
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from repro.errors import LockConflictError, LockError
+from repro.locking.dense import DenseLockTable
+from repro.locking.lock_table import LockTable, RequestStatus
+from repro.locking.modes import CLASSIC_MODES, IS, IX, S, X
+from repro.service.sharded import ShardedLockManager
+from repro.verify import check_held_index
+
+R1, R2 = ("r1",), ("r2",)
+
+
+class _TableFront:
+    """The manager call names over a bare table."""
+
+    def __init__(self, table):
+        self.table = table
+        self.acquire = table.request
+        self.acquire_many = table.request_many
+        self.release = table.release
+        self.release_all = table.release_all
+        self.cancel = table.cancel
+
+
+def _sharded():
+    manager = ShardedLockManager(n_shards=2)
+    # interned first, so r1 -> id 0 -> shard 0 and r2 -> id 1 -> shard 1
+    assert manager.shard_of(R1) != manager.shard_of(R2)
+    return manager
+
+
+FRONTS = {
+    "object": lambda: _TableFront(LockTable()),
+    "dense": lambda: _TableFront(DenseLockTable()),
+    "sharded": _sharded,
+}
+
+
+def _audit(front):
+    assert check_held_index(front) == []
+
+
+@pytest.fixture(params=sorted(FRONTS))
+def front(request):
+    return FRONTS[request.param]()
+
+
+@pytest.mark.parametrize("first, second", [(R1, R2), (R2, R1)])
+def test_waiting_only_resources_wake_in_enqueue_order(front, first, second):
+    """T holds S on r1 and r2; B waits for X on both (``first`` enqueued
+    first); C queues S on r1 and D on r2 behind B.  Releasing B cancels
+    its waits in enqueue order, so the queue behind its first wait wakes
+    first — on every table kind, and on the sharded manager regardless of
+    which shard owns which resource."""
+    front.acquire("T", R1, S)
+    front.acquire("T", R2, S)
+    front.acquire("B", first, X)
+    front.acquire("B", second, X)
+    behind = {R1: "C", R2: "D"}
+    front.acquire("C", R1, S)
+    front.acquire("D", R2, S)
+    _audit(front)
+    woken = front.release_all("B")
+    assert [(r.txn, r.resource) for r in woken] == [
+        (behind[first], first),
+        (behind[second], second),
+    ]
+    _audit(front)
+
+
+def test_held_resources_wake_in_first_grant_order(front):
+    front.acquire("A", R2, X)
+    front.acquire("A", R1, X)
+    front.acquire("B", R1, S)
+    front.acquire("C", R2, S)
+    woken = front.release_all("A")
+    assert [(r.txn, r.resource) for r in woken] == [("C", R2), ("B", R1)]
+    _audit(front)
+
+
+def test_uncontended_lifecycle_leaves_nothing(front):
+    plan = [(("db",), IX), (("db", "seg"), IX), (("db", "seg", "o"), X), (R1, S)]
+    granted = front.acquire_many("t", plan)
+    assert [r.status for r in granted] == [RequestStatus.GRANTED] * len(plan)
+    _audit(front)
+    assert front.release_all("t") == []
+    assert front.table.lock_count() == 0
+    assert dict(front.table._entries) == {}
+    assert not front.table._txn_modes
+    _audit(front)
+
+
+def test_conflict_mid_plan_keeps_the_granted_prefix_releasable(front):
+    """A ``wait=False`` conflict raises with the plan's prefix granted;
+    the abort path's ``release_all`` must find every granted lock — on
+    the sharded manager too when the prefix was granted inside the
+    per-shard run that raised."""
+    front.acquire("o", R2, X)
+    steps = [(R1, S), (R2, S)]
+    if isinstance(front, ShardedLockManager):
+        # both steps on one shard: the prefix is granted inside the run
+        # that raises
+        same = [("s%d" % i,) for i in range(8)]
+        same = [r for r in same if front.shard_of(r) == front.shard_of(R2)]
+        front.acquire("o", same[1], X)
+        steps = [(same[0], S), (same[1], S)]
+    with pytest.raises(LockConflictError):
+        front.acquire_many("t", steps, wait=False)
+    _audit(front)
+    assert front.table.held_mode("t", steps[0][0]) is S
+    front.release_all("t")
+    assert front.table.held_mode("t", steps[0][0]) is None
+    assert front.table.holders(steps[0][0]) == {}
+    _audit(front)
+
+
+def test_keep_long_releases_only_short_locks(front):
+    front.acquire("w", R1, S, long=True)
+    front.acquire("w", R2, X)
+    front.acquire("v", R2, IS)
+    woken = front.release_all("w", keep_long=True)
+    assert [(r.txn, r.resource) for r in woken] == [("v", R2)]
+    assert front.table.held_mode("w", R1) is S
+    assert front.table.held_mode("w", R2) is None
+    _audit(front)
+    front.release_all("w")
+    assert front.table.held_mode("w", R1) is None
+    _audit(front)
+
+
+def test_one_summary_bump_per_release_all():
+    table = LockTable()
+    for i in range(5):
+        table.request("t", ("r%d" % i,), S)
+    stamp = table.summary_version
+    table.release_all("t")
+    assert table.summary_version == stamp + 1
+
+
+class _RaiseOn:
+    def __init__(self, point):
+        self.point = point
+
+    def fire(self, point, **context):
+        if point == self.point:
+            raise RuntimeError(point)
+
+
+@pytest.mark.parametrize("kind", ["object", "dense"])
+def test_enqueue_fault_fires_before_the_entry_exists(kind):
+    """``lock.enqueue`` fires before any state change, the fresh entry's
+    creation included: a raise leaves no empty entry behind."""
+    table = LockTable() if kind == "object" else DenseLockTable()
+    table.fault_injector = _RaiseOn("lock.enqueue")
+    with pytest.raises(RuntimeError):
+        table.request("t", R1, X)
+    assert table._entries == {}
+    assert table.max_entries == 0
+    assert check_held_index(_TableFront(table)) == []
+
+
+# -- differential: random scripts against all three ---------------------------
+
+RESOURCES = [("db",), ("db", "a"), ("db", "a", "o1"), ("db", "b"), ("db", "b", "o2")]
+TXNS = ["t%d" % i for i in range(4)]
+_TXN = st.integers(0, len(TXNS) - 1)
+_RESOURCE = st.integers(0, len(RESOURCES) - 1)
+_MODE = st.integers(0, len(CLASSIC_MODES) - 1)
+
+# (kind, txn, resource, mode, long / keep_long, wait, request_many plan);
+# each kind reads the fields it needs.  Waiting is the common case, so
+# transactions pile up waits on several resources (and shards).
+SCRIPTS = st.lists(
+    st.tuples(
+        st.sampled_from(
+            ["request"] * 5
+            + ["request_many"] * 2
+            + ["regrant", "release", "release_all", "cancel"]
+        ),
+        _TXN,
+        _RESOURCE,
+        _MODE,
+        st.booleans(),
+        st.sampled_from([True, True, True, False]),
+        st.lists(st.tuples(_RESOURCE, _MODE), min_size=1, max_size=4),
+    ),
+    min_size=10,
+    max_size=60,
+)
+
+COUNTERS = ("requests", "immediate_grants", "waits", "conflict_tests")
+
+
+def _described(requests):
+    return [(r.txn, r.resource, r.mode, r.target_mode, r.status) for r in requests]
+
+
+def _apply(front, op, waiting):
+    """Run one script step; returns what a caller observes of it."""
+    kind, t, r, m, flag, wait, steps = op
+    txn, resource, mode = TXNS[t], RESOURCES[r], CLASSIC_MODES[m]
+    try:
+        if kind == "request":
+            request = front.acquire(txn, resource, mode, long=flag, wait=wait)
+            waiting.append(request)
+            return _described([request])
+        if kind == "request_many":
+            plan = [(RESOURCES[r], CLASSIC_MODES[m]) for r, m in steps]
+            requests = front.acquire_many(txn, plan, long=flag, wait=wait)
+            waiting.extend(requests)
+            return _described(requests)
+        if kind == "regrant":
+            held = front.table.held_mode(txn, resource)
+            if held is None:
+                return None
+            # a counted re-grant of the covered mode
+            return _described([front.acquire(txn, resource, held)])
+        if kind == "release":
+            return _described(front.release(txn, resource))
+        if kind == "release_all":
+            return _described(front.release_all(txn, keep_long=flag))
+        live = [w for w in waiting if w.status == RequestStatus.WAITING]
+        if not live:
+            return None
+        return _described(front.cancel(live[m % len(live)]))
+    except (LockConflictError, LockError) as exc:
+        return type(exc).__name__
+
+
+def _observed(front):
+    table = front.table
+    return {
+        "counters": [getattr(table, name) for name in COUNTERS],
+        "holders": [list(table.holders(r).items()) for r in RESOURCES],
+        "held": [[table.held_mode(t, r) for r in RESOURCES] for t in TXNS],
+        "waiting": [_described(table.waiting_requests_of(t)) for t in TXNS],
+        "edges": sorted(map(repr, table.waits_for_edges())),
+        "entries": len(table._entries),
+    }
+
+
+@given(script=SCRIPTS, routing=st.permutations(RESOURCES))
+@settings(max_examples=200, deadline=None)
+def test_tables_and_sharded_manager_agree(script, routing):
+    """Same outcomes, wake lists (in order), counters, holders, waits and
+    waits-for edges on ``LockTable``, ``DenseLockTable`` and a 3-shard
+    manager, with the ``held-index`` audit clean after every step."""
+    plain = _TableFront(LockTable())
+    dense = _TableFront(DenseLockTable())
+    sharded = ShardedLockManager(n_shards=3)
+    for resource in routing:  # vary which shard owns which resource
+        sharded.shard_table(resource)
+    fronts = (plain, dense, sharded)
+    waiting = {id(front): [] for front in fronts}
+    peak = 0  # the sharded facade sums per-shard high-water marks
+    for op in script:
+        results = [_apply(front, op, waiting[id(front)]) for front in fronts]
+        assert results[1] == results[0], op
+        assert results[2] == results[0], op
+        states = [_observed(front) for front in fronts]
+        assert states[1] == states[0], op
+        assert states[2] == states[0], op
+        assert plain.table.waits_for_edges() == dense.table.waits_for_edges()
+        assert dense.table.max_entries == plain.table.max_entries
+        peak = max(peak, states[2]["entries"])
+        assert peak == plain.table.max_entries
+        for front in fronts:
+            _audit(front)

@@ -87,6 +87,15 @@ class _Entry:
         self.queue = []
 
 
+class _Request(SimpleNamespace):
+    """A reference request, compared by identity as ``LockRequest`` is: a
+    transaction may queue two requests that are equal field by field, and
+    cancelling one must not remove the other."""
+
+    __eq__ = object.__eq__
+    __hash__ = object.__hash__
+
+
 class ReferenceTable:
     """Gray-style FIFO lock table; every grant test scans the holders."""
 
@@ -114,7 +123,7 @@ class ReferenceTable:
 
     def request(self, txn, resource, mode, long):
         entry = self.entries.setdefault(resource, _Entry())
-        request = SimpleNamespace(
+        request = _Request(
             txn=txn, resource=resource, mode=mode, target=mode, long=long,
             granted=False,
         )
@@ -179,7 +188,7 @@ class ReferenceTable:
 
     def release_all(self, txn, keep_long, waited_on):
         """``waited_on``: the resources of ``txn``'s waiting requests, in
-        the order the real table visits them (it iterates a set there)."""
+        the order the real table visits them (enqueue order)."""
         resources = list(self.owned.get(txn, ()))
         for resource in waited_on:
             if resource not in resources:
