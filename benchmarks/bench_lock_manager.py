@@ -13,7 +13,7 @@ import time
 import pytest
 
 from benchmarks._common import ABLATION_FLAGS, print_table
-from repro.locking import LockManager, LockTable
+from repro.locking import LockManager, LockTable, find_cycle
 from repro.locking.modes import (
     ALL_MODES,
     IS,
@@ -124,15 +124,70 @@ def test_waits_for_edges_extraction(benchmark):
     assert len(edges) == 10
 
 
-def test_deadlock_detection_on_populated_table(benchmark):
-    manager = LockManager()
-    # 50 independent waits, no cycle
-    for i in range(50):
-        manager.acquire("h%d" % i, ("r%d" % i,), X)
-        manager.acquire("w%d" % i, ("r%d" % i,), S)
+def contended_table(hot=8, depth=17, readers=8):
+    """A lock manager shaped like the simulator's deadlock-heavy overload.
 
-    cycle = benchmark(manager.detect_deadlock)
-    assert cycle is None
+    ``hot`` entries, each held in S by ``readers`` transactions and with a
+    ``depth``-deep queue of mixed S/X waiters (the first one an X, so the
+    rest queue behind it).  The readers of entry ``k`` are waiters at entry
+    ``k + 1``: blocked lock holders block others, and the graph is dense
+    but acyclic.  Two entries created last carry the one cycle, so a full
+    pass walks the whole acyclic part before it finds it.
+    """
+    manager = LockManager()
+    pattern = "XSSXSXXSXSSXXSXSX"
+
+    def waiter(k, i):
+        return "w%d_%d" % (k, i)
+
+    for k in range(hot):
+        for i in range(readers):
+            holder = waiter(k + 1, i) if k + 1 < hot else "r%d_%d" % (k, i)
+            manager.acquire(holder, ("hot", k), S)
+    for k in range(hot):
+        for i in range(depth):
+            mode = X if pattern[i % len(pattern)] == "X" else S
+            assert not manager.acquire(waiter(k, i), ("hot", k), mode).granted
+    manager.acquire("c1", ("ring", 0), X)
+    manager.acquire("c2", ("ring", 1), X)
+    manager.acquire("c1", ("ring", 1), X)
+    manager.acquire("c2", ("ring", 0), X)
+    return manager
+
+
+def test_deadlock_detection_on_populated_table(benchmark):
+    """E11: one full detection pass over a dense waits-for graph.
+
+    ~136 waiters and ~1 450 edges on eight hot entries (``contended_table``),
+    one two-transaction cycle.  Every round first grants and releases an
+    unrelated lock, so the detector's quiescence memo (E11d) cannot answer
+    and the round is a real full pass: graph assembly from the per-entry
+    memo, then the search.  The answer is held to the reference
+    ``find_cycle`` over the complete edge list.
+    """
+    manager = contended_table()
+    table = manager.table
+    edges = table.waits_for_edges()
+    waiters = {src for src, _ in edges}
+    assert 120 <= len(waiters) <= 150 and 1300 <= len(edges) <= 1600
+    reference = find_cycle(edges)
+    assert set(reference) == {"c1", "c2"}
+
+    rounds = []
+
+    def touch():
+        manager.acquire("bench", ("free",), X)
+        manager.release("bench", ("free",))
+        rounds.append(None)
+
+    detections = manager.detector.detections
+    cycle = benchmark.pedantic(
+        manager.detect_deadlock, setup=touch, rounds=200, warmup_rounds=5
+    )
+    assert cycle == reference
+    # every round was a full pass, none answered by the quiescence memo
+    assert manager.detector.cached_checks == 0
+    assert manager.detector.detections - detections == len(rounds)
 
 
 def test_mode_tables_vs_dicts(benchmark):

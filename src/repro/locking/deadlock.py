@@ -4,67 +4,87 @@ The paper does not prescribe deadlock handling (it only notes that lock
 escalations "increase highly the probability for deadlocks"); detection is
 infrastructure needed by the simulator and the transaction manager.  We
 implement the textbook approach: build the waits-for graph from the lock
-table, find cycles, abort the youngest transaction on each cycle.
+table, find cycles, abort the youngest transaction on each cycle.  The
+table hands the graph over as ``(nodes, adjacency)`` read off its
+per-entry memo (:meth:`~repro.locking.lock_table.LockTable.
+waits_for_graph`); :func:`find_cycle` runs the same search over an
+explicit edge list, for the oracle and the auditor.
 """
 
 from __future__ import annotations
 
+from itertools import chain
 from typing import Callable, Dict, List, Optional, Sequence, Set, Tuple
 
 
-def find_cycle(edges: Sequence[Tuple[object, object]]) -> Optional[List[object]]:
-    """Return one cycle in the directed graph given by ``edges``, or None.
+def edge_graph(
+    edges: Sequence[Tuple[object, object]]
+) -> Tuple[List[object], Dict[object, List[object]]]:
+    """``(nodes, adjacency)`` of the directed graph given by ``edges``.
 
-    The returned list contains the transactions on the cycle in order,
-    without repeating the starting node.  Iterative DFS with three-colour
-    marking; deterministic given edge order.
+    ``nodes`` lists every node in order of first appearance in the edge
+    stream (source before target); ``adjacency`` maps each node with an
+    out-edge to its targets in edge order.  The form
+    :meth:`repro.locking.lock_table.LockTable.waits_for_graph` returns
+    straight from its memo.
     """
     adjacency: Dict[object, List[object]] = {}
     for src, dst in edges:
         adjacency.setdefault(src, []).append(dst)
-        adjacency.setdefault(dst, [])
+    return list(dict.fromkeys(chain.from_iterable(edges))), adjacency
 
-    WHITE, GREY, BLACK = 0, 1, 2
-    colour = {node: WHITE for node in adjacency}
 
-    for start in adjacency:
-        if colour[start] != WHITE:
+def first_cycle(
+    nodes: Sequence[object], adjacency: Dict[object, Sequence[object]]
+) -> Optional[List[object]]:
+    """Return one cycle of the graph ``(nodes, adjacency)``, or None.
+
+    The returned list contains the nodes on the cycle in order, without
+    repeating the starting node.  Depth-first search started from each
+    unvisited node in ``nodes`` order, following out-edges in adjacency
+    order; deterministic given both.  A node without out-edges is on no
+    cycle and is never pushed.  The adjacency lists are only read — the
+    lock table hands out its memo lists here.
+    """
+    # absent: no out-edges; 0: unvisited; 1: on the trail; 2: finished
+    state = dict.fromkeys(adjacency, 0)
+    get = state.get
+    for start in nodes:
+        if get(start) != 0:
             continue
-        stack: List[Tuple[object, int]] = [(start, 0)]
-        trail: List[object] = []
+        state[start] = 1
+        trail = [start]
+        stack = [iter(adjacency[start])]
         while stack:
-            node, edge_index = stack[-1]
-            if edge_index == 0:
-                colour[node] = GREY
-                trail.append(node)
-            neighbours = adjacency[node]
-            if edge_index < len(neighbours):
-                stack[-1] = (node, edge_index + 1)
-                target = neighbours[edge_index]
-                if colour[target] == GREY:
-                    cycle_start = trail.index(target)
-                    return trail[cycle_start:]
-                if colour[target] == WHITE:
-                    stack.append((target, 0))
+            for target in stack[-1]:
+                seen = get(target)
+                if seen == 0:
+                    state[target] = 1
+                    trail.append(target)
+                    stack.append(iter(adjacency[target]))
+                    break
+                if seen == 1:
+                    return trail[trail.index(target):]
             else:
-                colour[node] = BLACK
                 stack.pop()
-                trail.pop()
+                state[trail.pop()] = 2
     return None
+
+
+def find_cycle(edges: Sequence[Tuple[object, object]]) -> Optional[List[object]]:
+    """:func:`first_cycle` over the graph given by an edge list — the
+    cycle the detector's full pass returns for the same graph."""
+    return first_cycle(*edge_graph(edges))
 
 
 def all_cycle_members(edges: Sequence[Tuple[object, object]]) -> Set[object]:
     """Every transaction involved in some waits-for cycle.
 
     Computed as the union of non-trivial strongly connected components
-    (Tarjan, iterative).  Used by tests and by bulk victim selection.
+    (Tarjan, iterative).  The reference the tests hold the rooted search
+    to.
     """
-    adjacency: Dict[object, List[object]] = {}
-    edge_set: Set[Tuple[object, object]] = set()
-    for src, dst in edges:
-        adjacency.setdefault(src, []).append(dst)
-        adjacency.setdefault(dst, [])
-        edge_set.add((src, dst))
+    nodes, adjacency = edge_graph(edges)
 
     index_counter = [0]
     indices: Dict[object, int] = {}
@@ -74,7 +94,7 @@ def all_cycle_members(edges: Sequence[Tuple[object, object]]) -> Set[object]:
     members: Set[object] = set()
 
     def strongconnect(root):
-        work = [(root, iter(adjacency[root]))]
+        work = [(root, iter(adjacency.get(root, ())))]
         indices[root] = lowlinks[root] = index_counter[0]
         index_counter[0] += 1
         stack.append(root)
@@ -88,7 +108,7 @@ def all_cycle_members(edges: Sequence[Tuple[object, object]]) -> Set[object]:
                     index_counter[0] += 1
                     stack.append(target)
                     on_stack.add(target)
-                    work.append((target, iter(adjacency[target])))
+                    work.append((target, iter(adjacency.get(target, ()))))
                     advanced = True
                     break
                 if target in on_stack:
@@ -109,10 +129,10 @@ def all_cycle_members(edges: Sequence[Tuple[object, object]]) -> Set[object]:
                         break
                 if len(component) > 1:
                     members.update(component)
-                elif (node, node) in edge_set:  # self-loop
+                elif node in adjacency.get(node, ()):  # self-loop
                     members.add(node)
 
-    for node in adjacency:
+    for node in nodes:
         if node not in indices:
             strongconnect(node)
     return members
@@ -145,9 +165,11 @@ class DeadlockDetector:
     full pass otherwise — no waiter given, waits it was never asked about,
     a resolve loop that was interrupted with a cycle still standing.  A
     waiter that does reach itself also goes to the full pass:
-    :func:`find_cycle` alone chooses the cycle, so victims do not depend
-    on which search ran.  Callers whose transactions may have several
-    requests outstanding (the served, pipelined detector) pass no waiter.
+    :func:`first_cycle` over ``table.waits_for_graph()`` alone chooses the
+    cycle — the one :func:`find_cycle` finds in ``table.waits_for_edges()``
+    — so victims do not depend on which search ran.  Callers whose
+    transactions may have several requests outstanding (the served,
+    pipelined detector) pass no waiter.
     """
 
     def __init__(self, lock_table, age_of: Optional[Callable[[object], float]] = None):
@@ -216,7 +238,7 @@ class DeadlockDetector:
                 self.rooted_checks += 1
                 cycle = None
             else:
-                cycle = find_cycle(table.waits_for_edges())
+                cycle = first_cycle(*table.waits_for_graph())
             if cycle is None:
                 self._acyclic_at_waits = waits
             if version is not None:
@@ -226,20 +248,21 @@ class DeadlockDetector:
         return cycle
 
     def _reaches_itself(self, waiter) -> bool:
-        """Is ``waiter`` on a waits-for cycle?  DFS over what it can reach,
-        unless nobody waits for it: no edge in, no cycle through it."""
-        if not self._lock_table.is_waited_for(waiter):
+        """Is ``waiter`` on a waits-for cycle?  Breadth-first over what it
+        can reach, one set frontier per step read off the table's memo
+        lists (``table.blocked_by``) — unless nobody waits for it: no
+        edge in, no cycle through it."""
+        table = self._lock_table
+        if not table.is_waited_for(waiter):
             return False
-        blockers_of = self._lock_table.blockers_of
-        seen = set()
-        stack = [waiter]
-        while stack:
-            for blocker in blockers_of(stack.pop()):
-                if blocker == waiter:
-                    return True
-                if blocker not in seen:
-                    seen.add(blocker)
-                    stack.append(blocker)
+        seen = {waiter}
+        frontier = seen
+        while frontier:
+            reached = table.blocked_by(frontier)
+            if waiter in reached:
+                return True
+            frontier = reached - seen
+            seen |= frontier
         return False
 
     def pick_victim(self, cycle: Sequence[object]):

@@ -4,7 +4,7 @@ This is the pure state machine underneath the lock manager.  It knows
 nothing about lock *graphs* or protocols — it manages named resources
 (opaque hashable ids; the protocols use instance paths), grants and queues
 requests according to the compatibility matrix, performs lock conversions
-via the supremum lattice, and exposes the waits-for edges the deadlock
+via the supremum lattice, and exposes the waits-for graph the deadlock
 detector consumes.
 
 Counting conventions (used by the benchmarks):
@@ -30,7 +30,7 @@ from __future__ import annotations
 
 from collections import deque
 from itertools import count, repeat
-from typing import Deque, Dict, Iterable, List, Optional, Sequence, Set, Tuple
+from typing import Collection, Deque, Dict, Iterable, List, Optional, Set, Tuple
 
 from repro.errors import LockConflictError, LockError
 from repro.locking.modes import (
@@ -161,19 +161,14 @@ class _ResourceEntry:
         self.queue: Deque[LockRequest] = deque()
         #: bumped on every grant/queue/mode change; keys ``waits_cache``
         self.version = 0
-        #: (version, waits-for edges of this entry, the same edges grouped
-        #: as waiting request -> blockers) memo; see LockTable._entry_waits
+        #: (version, waiting request -> blockers, the entry's waits-for
+        #: nodes in first-appearance order) memo; see LockTable._entry_waits
         self.waits_cache: Optional[
-            Tuple[int, Sequence[Tuple[object, object]], Dict[LockRequest, List[object]]]
+            Tuple[int, Dict[LockRequest, List[object]], Dict[object, None]]
         ] = None
 
     def empty(self) -> bool:
         return not (self.granted or self.conversions or self.queue)
-
-
-#: the ``request -> blockers`` view of an entry nobody waits on (shared,
-#: never written)
-_NO_BLOCKERS: Dict[LockRequest, List[object]] = {}
 
 
 class LockTable:
@@ -583,43 +578,100 @@ class LockTable:
         incompatible holders and for incompatible requests queued ahead of
         it (FIFO fairness makes those real blockers too).
 
-        Edges are memoized per resource entry, keyed on the entry's version
-        counter: between two lock-table changes the deadlock detector can
-        re-read the graph for the cost of a list concatenation.
+        The reference form of the graph, derived on demand from the
+        per-entry memo (entry by entry, conversions before the queue) for
+        the auditor, the oracle and the tests; detection reads
+        :meth:`waits_for_graph` instead and never builds this list.
         """
-        edges = []
+        edges: List[Tuple[object, object]] = []
         for entry in self._entries.values():
-            edges.extend(self._entry_waits(entry)[1])
+            if entry.conversions or entry.queue:
+                for request, blockers in self._entry_waits(entry)[1].items():
+                    edges.extend(zip(repeat(request.txn), blockers))
         return edges
+
+    def waits_for_graph(self) -> Tuple[List[object], Dict[object, List[object]]]:
+        """``(nodes, adjacency)`` of :meth:`waits_for_edges`, read off the
+        memo: what :func:`repro.locking.deadlock.edge_graph` builds from
+        the edge list, without building the edge list.
+
+        ``nodes`` is the edges' first-appearance order (the start order of
+        the detector's search); ``adjacency`` maps each waiter to its
+        blockers.  The lists are the memo's own when the waiter waits at
+        one entry — callers must not write them.
+        """
+        order: Dict[object, None] = {}
+        adjacency: Dict[object, List[object]] = {}
+        self._graph_into(order, adjacency)
+        return list(order), adjacency
+
+    def _graph_into(
+        self, order: Dict[object, None], adjacency: Dict[object, List[object]]
+    ):
+        """Append this table's waits-for graph to ``(order, adjacency)``:
+        the nodes in first-appearance order, and each waiter's blockers
+        after the ones already there (a transaction waiting at several
+        entries, or on several shards, gets the concatenation in edge
+        order).  Entries nobody waits on are skipped unread."""
+        entry_waits = self._entry_waits
+        for entry in self._entries.values():
+            if entry.conversions or entry.queue:
+                _, waits, nodes = entry_waits(entry)
+                order.update(nodes)
+                for request, blockers in waits.items():
+                    if blockers:
+                        txn = request.txn
+                        before = adjacency.get(txn)
+                        adjacency[txn] = (
+                            blockers if before is None else before + blockers
+                        )
 
     def blockers_of(self, txn) -> List[object]:
         """The transactions ``txn`` waits for: ``dst`` of every edge
-        ``(txn, dst)`` of :meth:`waits_for_edges`, in the same order.
+        ``(txn, dst)`` of :meth:`waits_for_edges`, in the same order, as a
+        fresh list.
 
         Costs one probe of the per-transaction waiting index plus the memo
-        of the entries ``txn`` waits on — never a walk over the table,
-        which is what lets deadlock detection start from one waiter.
+        of the entries ``txn`` waits on — never a walk over the table.
         """
         blockers: List[object] = []
         for request in self._txn_waiting.get(txn, ()):
             entry = self._entries[request.resource]
-            blockers.extend(self._entry_waits(entry)[2][request])
+            blockers.extend(self._entry_waits(entry)[1][request])
         return blockers
 
+    def blocked_by(self, txns: Collection[object]) -> Set[object]:
+        """Every transaction some member of ``txns`` waits for: one step
+        of a search over the waits-for graph, read from the memo lists
+        of the entries they wait on, in place.  Proportional to the waits
+        of ``txns``, not to the table — which is what lets deadlock
+        detection start from one waiter."""
+        reached: Set[object] = set()
+        entries = self._entries
+        entry_waits = self._entry_waits
+        for txn in txns:
+            for request in self._txn_waiting.get(txn, ()):
+                reached.update(entry_waits(entries[request.resource])[1][request])
+        return reached
+
     def _entry_waits(self, entry: _ResourceEntry):
-        """``(version, edges, request -> blockers)`` of one entry, memoized
-        on the entry version.  Both views are built in one pass, so the
-        whole-graph reader and the per-waiter reader share one memo and
-        one invalidation rule."""
+        """``(version, request -> blockers, nodes)`` of one entry, memoized
+        on the entry version: the blockers of every waiting request
+        (conversions first, then the queue, each in order) and the
+        entry's waits-for nodes in first-appearance order of its edges
+        (each waiter with a blocker, then its blockers).  The whole-graph
+        reader and the per-waiter readers share this one memo and its one
+        invalidation rule; none of them writes a memo list.  Only read for
+        entries somebody waits on."""
         cached = entry.waits_cache
         if cached is not None and cached[0] == entry.version:
             return cached
-        if not (entry.conversions or entry.queue):
-            # most entries of a table: holders only, nobody waiting
-            cached = entry.waits_cache = (entry.version, (), _NO_BLOCKERS)
-            return cached
-        edges: List[Tuple[object, object]] = []
         blockers: Dict[LockRequest, List[object]] = {}
+        nodes: Dict[object, None] = {}
+        # codes whose holders are in ``nodes``; has a waiter without
+        # blockers been passed?
+        listed: Set[int] = set()
+        silent = False
         compat = COMPAT_FLAT
         # Waiters for one mode code share their blockers: the holders
         # incompatible with that code (found once per distinct code) and,
@@ -654,7 +706,19 @@ class LockTable:
                     # a conversion does not wait for its own hold
                     mine = [txn for txn in mine if txn != waiter]
                 blockers[request] = mine
-                edges.extend(zip(repeat(waiter), mine))
+                if mine:
+                    # the edge stream node by node: the waiter, then its
+                    # blockers — the holders once per code, and the
+                    # waiters ahead, all in ``nodes`` already unless one
+                    # of them waits for nobody
+                    nodes[waiter] = None
+                    if code not in listed:
+                        listed.add(code)
+                        nodes.update(dict.fromkeys(holding[code]))
+                    if queued and silent:
+                        nodes.update(dict.fromkeys(ahead[code]))
+                else:
+                    silent = True
                 fed = feeds.get(code)
                 if fed is None:
                     row = code * N_MODES
@@ -665,7 +729,7 @@ class LockTable:
                     ]
                 for waiters in fed:
                     waiters.append(waiter)
-        cached = entry.waits_cache = (entry.version, edges, blockers)
+        cached = entry.waits_cache = (entry.version, blockers, nodes)
         return cached
 
     def is_waited_for(self, txn) -> bool:

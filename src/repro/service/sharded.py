@@ -15,8 +15,8 @@ the request path.  Three things genuinely cross shards:
   global grant-order index and drives each shard's per-resource release
   body (:meth:`LockTable._release_resource`) in that order;
 * **deadlock detection** — waits-for cycles can span shards; the
-  :class:`_AggregateTable` facade concatenates the per-shard memoized
-  edge lists (each shard's edges stay cached on its entries) and sums
+  :class:`_AggregateTable` facade merges the per-shard waits-for graphs
+  (each shard's blocker lists stay memoized on its entries) and sums
   the per-shard wait-graph versions into one quiescence stamp, so the
   unchanged :class:`~repro.locking.deadlock.DeadlockDetector` runs over
   the union graph with the same O(1) re-check on a quiet system;
@@ -33,7 +33,7 @@ every routed call after it is one dict probe.
 from __future__ import annotations
 
 from operator import attrgetter
-from typing import Dict, List, Optional, Set, Tuple
+from typing import Collection, Dict, List, Optional, Set, Tuple
 
 from repro.errors import LockError
 from repro.locking.deadlock import DeadlockDetector
@@ -156,10 +156,8 @@ class _AggregateTable:
     def waits_for_edges(self) -> List[Tuple[object, object]]:
         """Edges of the union graph, concatenated in shard-index order.
 
-        Each shard keeps its per-entry memo, so a detector pass over a
-        quiescent system is a list concatenation, exactly as on one
-        table.  Edge *order* differs from the single table's (shard
-        order, not global entry-creation order) — victim selection is
+        Edge *order* differs from the single table's (shard order, not
+        global entry-creation order) — victim selection is
         order-invariant (max over the cycle), so this is unobservable
         whenever at most one cycle exists at a time.
         """
@@ -167,6 +165,24 @@ class _AggregateTable:
         for shard in self._shards:
             edges.extend(shard.waits_for_edges())
         return edges
+
+    def waits_for_graph(self) -> Tuple[List[object], Dict[object, List[object]]]:
+        """``(nodes, adjacency)`` of :meth:`waits_for_edges`: the shard
+        graphs merged in shard-index order, a transaction waiting on
+        several shards getting its blockers concatenated in that order."""
+        order: Dict[object, None] = {}
+        adjacency: Dict[object, List[object]] = {}
+        for shard in self._shards:
+            shard._graph_into(order, adjacency)
+        return list(order), adjacency
+
+    def blocked_by(self, txns: Collection[object]) -> Set[object]:
+        """Every transaction some member of ``txns`` waits for, on any
+        shard (one search step over the union graph)."""
+        reached: Set[object] = set()
+        for shard in self._shards:
+            reached |= shard.blocked_by(txns)
+        return reached
 
     def blockers_of(self, txn) -> List[object]:
         """Whom ``txn`` waits for, across shards (shard-index order); each
