@@ -62,6 +62,21 @@ def test_execute_prepared_hit(benchmark, big_stack):
     assert len(rows) == 1 and demands
 
 
+def test_execute_prepared_many_rows(benchmark, big_stack):
+    """The 30-row shape that is half of both in-process query mixes,
+    prepared, with no lock requested: the per-row cost of the walk and of
+    instantiating the stored lock graph."""
+    stack = big_stack
+    stack.authorization.grant_read("engineer", "cells")
+    text = "SELECT o FROM c IN cells, o IN c.c_objects WHERE c.cell_id = 'c7' FOR READ"
+    txn = stack.txns.begin(principal="engineer")
+    stack.executor.lock_requirements(txn, text)
+    query = parse_query(text)
+    rows, demands = benchmark(stack.executor.lock_requirements, txn, query)
+    stack.txns.commit(txn)
+    assert len(rows) == 30 and demands
+
+
 def test_analyze(benchmark, big_stack):
     query = parse_query(
         "SELECT r FROM c IN cells, r IN c.robots "

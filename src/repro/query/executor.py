@@ -14,8 +14,11 @@ Implements the full pipeline of section 4.1:
 Steps 1 and 2 depend on the query's shape (:attr:`Query.shape`), not on
 its literals, so they run once per shape: the result, a
 :class:`PreparedQuery` holding the stored lock graph, is kept until the
-schema, data structure or statistics move.  Step 3, and the
-authorization check before it, run on every execution.
+schema, data structure or statistics move.  So does everything of step 3
+that the shape fixes (the access path, which predicates test which range
+variable, each element type's key, how each annotation is instantiated):
+the prepared query holds it as a compiled walk, and each execution runs
+that walk on the query's literals after the authorization check.
 
 The executor is protocol-agnostic: the same queries run under the paper's
 protocol or any baseline, which is how the benchmarks compare them.
@@ -27,9 +30,10 @@ from collections import OrderedDict
 from typing import List, Optional, Tuple
 
 from repro.errors import QueryError
-from repro.graphs.units import component_resource, object_resource, relation_resource
+from repro.graphs.units import component_resource, index_resource, relation_resource
 from repro.locking.modes import LockMode, S
 from repro.nf2.paths import AttrStep, ElemStep
+from repro.nf2.types import TupleType
 from repro.nf2.values import ListValue, SetValue, TupleValue
 from repro.query.analyzer import QueryAnalyzer
 from repro.query.ast import AccessKind, Query
@@ -58,16 +62,24 @@ class PreparedQuery:
     """What the executor derives from a query's shape (section 4.1).
 
     Analysis, optimization and the storing of granules/modes in the
-    query-specific lock graph happen once per shape; each execution then
-    only evaluates and instantiates.  The plan also depends on the schema,
-    the statistics and the relation sizes, so it is stamped
-    ``(database.structure_version, statistics.version)`` the way compiled
-    lock plans are, and recompiled when the stamp moves.
+    query-specific lock graph happen once per shape, and so does compiling
+    the walk that evaluates the query and instantiates the graph; each
+    execution only binds the literals and walks.  The plan also depends on
+    the schema, the indexes, the statistics and the relation sizes, so it
+    is stamped ``(database.structure_version, statistics.version)`` the
+    way compiled lock plans are, and recompiled when the stamp moves.
+
+    A predicate is named by its *slot*, its position in
+    ``query.predicates``, which the shape fixes.
     """
 
-    __slots__ = ("stamp", "intents", "graph", "anticipated", "relation", "recipes")
+    __slots__ = (
+        "stamp", "intents", "graph", "anticipated", "relation", "root",
+        "root_tests", "key_slot", "index", "levels", "select", "base",
+        "recipes", "entries",
+    )
 
-    def __init__(self, database, relation: str, stamp, intents, graph, anticipated):
+    def __init__(self, catalog, query: Query, stamp, intents, graph, anticipated):
         self.stamp = stamp
         self.intents = intents
         #: the root relation's query-specific lock graph
@@ -75,20 +87,142 @@ class PreparedQuery:
         #: anticipated escalations planning counted; the optimizer's
         #: counter is advanced by as many on every execution
         self.anticipated = anticipated
-        self.relation = relation
-        segment = database.relation(relation).schema.segment
+        root = query.root_binding()
+        self.relation = root.relation
+        relation = self.root = catalog.database.relation(root.relation)
+        schema = relation.schema
+        tests = {}
+        for slot, predicate in enumerate(query.predicates):
+            tests.setdefault(predicate.var, []).append((slot, predicate.path))
+        #: (slot, path) of each predicate on the root variable
+        self.root_tests = tests.get(root.var, [])
+        single = [(slot, path[0]) for slot, path in self.root_tests if len(path) == 1]
+        keyed = [slot for slot, name in single if name == schema.key]
+        indexed = [(slot, name) for slot, name in single if name in relation.indexes]
+        #: the root access path: the key predicate's slot, else (slot,
+        #: attribute) of the first indexed equality, else neither (a scan)
+        self.key_slot = keyed[0] if keyed else None
+        self.index = indexed[0] if indexed and not keyed else None
+        #: per range variable below the root: (var, the collection's
+        #: attribute names and steps, (slot, path) of its predicates, the
+        #: element type's schema key, or None to name elements by repr)
+        self.levels = []
+        value_type = schema.object_type
+        for binding in query.chain_to(query.select_var)[1:]:
+            for name in binding.path:
+                value_type = value_type.attribute_type(name)
+            value_type = value_type.element_type
+            key = value_type.key if isinstance(value_type, TupleType) else None
+            self.levels.append((
+                binding.var, binding.path, tuple(map(AttrStep, binding.path)),
+                tests.get(binding.var, []), key,
+            ))
+        self.select = (query.select_path, tuple(map(AttrStep, query.select_path)))
+        self.base = relation_resource(catalog.database.name, schema.segment, root.relation)
         #: per annotation: (mode, the relation resource for a relation-level
-        #: granule or None, the granule's schema path below the object)
+        #: granule or None, the length of the granule's path below the object)
         self.recipes = [
-            (
-                annotation.mode,
-                relation_resource(database.name, segment, relation)
-                if annotation.relation_level
-                else None,
-                annotation.path,
-            )
+            (annotation.mode, self.base if annotation.relation_level else None,
+             len(annotation.path))
             for annotation in graph.annotations
         ]
+        #: (slot, index resource) of the root's indexed equalities
+        self.entries = [
+            (slot, index_resource(catalog, root.relation, name)) for slot, name in indexed
+        ]
+
+    def walk(self, values) -> List[ResultRow]:
+        """The rows of this shape's query under predicate literals ``values``."""
+        relation = self.root
+        if self.key_slot is not None:
+            key = values[self.key_slot]
+            objects = [relation.get(key)] if relation.contains_key(key) else []
+        elif self.index is not None:
+            slot, attribute = self.index
+            objects = [
+                relation.get_by_surrogate(surrogate)
+                for surrogate in relation.indexes[attribute].lookup(values[slot])
+            ]
+        else:
+            objects = relation
+        root_tests = [(path, values[slot]) for slot, path in self.root_tests]
+        levels = [
+            (var, names, steps, [(path, values[slot]) for slot, path in tests], key)
+            for var, names, steps, tests, key in self.levels
+        ]
+        select_names, select_steps = self.select
+        rows: List[ResultRow] = []
+        for obj in objects:
+            if root_tests and not _matches(obj.root, root_tests):
+                continue
+            partial = [((), obj.root)]
+            for var, names, steps, tests, key in levels:
+                grown = []
+                for prefix, value in partial:
+                    for name in names:
+                        if not isinstance(value, TupleValue):
+                            raise QueryError("path %r does not reach a collection" % (names,))
+                        value = value[name]
+                    if not isinstance(value, (SetValue, ListValue)):
+                        raise QueryError("range variable %r ranges over non-collection" % var)
+                    prefix += steps
+                    for element in value:
+                        if tests and not _matches(element, tests):
+                            continue
+                        grown.append((
+                            prefix + (ElemStep(repr(element) if key is None else element[key]),),
+                            element,
+                        ))
+                partial = grown
+            for prefix, value in partial:
+                for name in select_names:
+                    if not isinstance(value, TupleValue):
+                        raise QueryError("projection through non-tuple at %r" % name)
+                    value = value[name]
+                rows.append(ResultRow(obj, prefix + select_steps, value))
+        return rows
+
+    def demands(self, values, rows) -> List[Tuple[Tuple, LockMode]]:
+        """The (resource, mode) demands of the walk's ``rows``: each
+        annotation's granule on every row (no rows, no locks: the paper
+        defers phantoms to section 5, and the protocol's ancestors cover
+        the rest), then S on the index entry of each indexed equality on
+        the root, present or not — an inserter of that value must X-lock
+        the same entry first, so equality phantoms cannot occur."""
+        demands: List[Tuple[Tuple, LockMode]] = []
+        seen = set()
+        for mode, relation, cut in self.recipes:
+            if relation is not None:
+                resources = (relation,)
+            else:
+                resources = [
+                    component_resource(self.base + (str(row.object.key),), row.steps[:cut])
+                    for row in rows
+                ]
+            for resource in resources:
+                demand = (resource, mode)
+                if demand not in seen:
+                    seen.add(demand)
+                    demands.append(demand)
+        for slot, index in self.entries:
+            demand = (index + (str(values[slot]),), S)
+            if demand not in seen:
+                seen.add(demand)
+                demands.append(demand)
+        return demands
+
+
+def _matches(value, tests) -> bool:
+    """Whether ``value`` passes every (path, literal) equality test."""
+    for path, literal in tests:
+        current = value
+        for name in path:
+            if not isinstance(current, TupleValue) or name not in current:
+                return False
+            current = current[name]
+        if current != literal:
+            return False
+    return True
 
 
 class QueryExecutor:
@@ -191,7 +325,7 @@ class QueryExecutor:
         before = self.optimizer.anticipated
         graphs = self.optimizer.plan_query(intents)
         prepared = PreparedQuery(
-            self.database, relation, stamp, intents, graphs[relation],
+            self.catalog, query, stamp, intents, graphs[relation],
             self.optimizer.anticipated - before,
         )
         self._prepared[query.shape] = prepared
@@ -201,167 +335,6 @@ class QueryExecutor:
 
     def _bind_and_plan(self, txn, query: Query):
         prepared = self._prepare(txn, query)
-        rows = self._evaluate(query)
-        demands: List[Tuple[Tuple, LockMode]] = []
-        seen = set()
-        for mode, relation_res, path in prepared.recipes:
-            if relation_res is not None:
-                resources = (relation_res,)
-            else:
-                resources = self._instantiate(prepared.relation, path, rows)
-            for resource in resources:
-                key = (resource, mode)
-                if key not in seen:
-                    seen.add(key)
-                    demands.append(key)
-        demands.extend(self._index_demands(query, seen))
-        return rows, demands
-
-    def _index_demands(self, query: Query, seen):
-        """S locks on index entries for the root's equality predicates.
-
-        The entry is locked whether or not a matching object exists —
-        an inserter of that value must X-lock the same entry first, so
-        equality-predicate phantoms cannot occur (section 5 future work,
-        implemented via the index units of Figure 2).
-        """
-        from repro.graphs.units import index_entry_resource
-
-        root = query.root_binding()
-        relation = self.database.relation(root.relation)
-        out = []
-        for predicate in query.predicates_on(root.var):
-            if len(predicate.path) != 1:
-                continue
-            if predicate.path[0] not in relation.indexes:
-                continue
-            entry = index_entry_resource(
-                self.catalog, root.relation, predicate.path[0], predicate.value
-            )
-            if (entry, S) not in seen:
-                seen.add((entry, S))
-                out.append((entry, S))
-        return out
-
-    # -- evaluation -----------------------------------------------------------------
-
-    def _evaluate(self, query: Query) -> List[ResultRow]:
-        root = query.root_binding()
-        relation = self.database.relation(root.relation)
-        schema = relation.schema
-
-        objects = []
-        key_predicates = [
-            p
-            for p in query.predicates_on(root.var)
-            if len(p.path) == 1 and p.path[0] == schema.key
-        ]
-        index_predicates = [
-            p
-            for p in query.predicates_on(root.var)
-            if len(p.path) == 1 and p.path[0] in relation.indexes
-        ]
-        if key_predicates:
-            key = key_predicates[0].value
-            if relation.contains_key(key):
-                objects.append(relation.get(key))
-        elif index_predicates:
-            # index-assisted evaluation: fetch candidates by surrogate
-            # instead of scanning the relation
-            predicate = index_predicates[0]
-            index = relation.indexes[predicate.path[0]]
-            for surrogate in index.lookup(predicate.value):
-                objects.append(relation.get_by_surrogate(surrogate))
-        else:
-            objects.extend(relation)
-        objects = [
-            obj
-            for obj in objects
-            if self._matches(obj.root, query.predicates_on(root.var))
-        ]
-
-        chain = query.chain_to(query.select_var)
-        rows: List[ResultRow] = []
-        for obj in objects:
-            partial = [((), obj.root)]
-            for binding in chain[1:]:
-                grown = []
-                for steps, value in partial:
-                    collection_steps = list(steps)
-                    container = value
-                    for part in binding.path:
-                        if not isinstance(container, TupleValue):
-                            raise QueryError(
-                                "path %r does not reach a collection" % (binding.path,)
-                            )
-                        collection_steps.append(AttrStep(part))
-                        container = container[part]
-                    if not isinstance(container, (SetValue, ListValue)):
-                        raise QueryError(
-                            "range variable %r ranges over non-collection" % binding.var
-                        )
-                    for element in container:
-                        if not self._matches(element, query.predicates_on(binding.var)):
-                            continue
-                        element_key = self._element_key(element)
-                        grown.append(
-                            (
-                                tuple(collection_steps) + (ElemStep(element_key),),
-                                element,
-                            )
-                        )
-                partial = grown
-            for steps, value in partial:
-                final_steps = list(steps)
-                final_value = value
-                for part in query.select_path:
-                    if not isinstance(final_value, TupleValue):
-                        raise QueryError("projection through non-tuple at %r" % part)
-                    final_steps.append(AttrStep(part))
-                    final_value = final_value[part]
-                rows.append(ResultRow(obj, final_steps, final_value))
-        return rows
-
-    def _matches(self, value, predicates) -> bool:
-        for predicate in predicates:
-            current = value
-            for part in predicate.path:
-                if not isinstance(current, TupleValue) or part not in current:
-                    return False
-                current = current[part]
-            if current != predicate.value:
-                return False
-        return True
-
-    def _element_key(self, element):
-        if isinstance(element, TupleValue):
-            for name in element.keys():
-                if name.endswith("_id"):
-                    return element[name]
-        return repr(element)
-
-    # -- lock instantiation ------------------------------------------------------------
-
-    def _instantiate(self, relation: str, annotation_path, rows: List[ResultRow]):
-        """Each row's instance of the granule at ``annotation_path``: the
-        prefix of the row's path as long as that schema path.  Rows sharing
-        an (object, prefix) pair build the resource once.  (No rows, no
-        locks: the paper defers phantoms to section 5, and the protocol's
-        ancestors cover the rest.)
-        """
-        cut = len(annotation_path)
-        built = set()
-        for row in rows:
-            prefix = row.steps[:cut]
-            key = (row.object.key, prefix)
-            if key in built:
-                continue
-            built.add(key)
-            if len(prefix) < cut:
-                raise QueryError(
-                    "annotation path %r longer than instance path %r"
-                    % (annotation_path, row.steps)
-                )
-            yield component_resource(
-                object_resource(self.catalog, relation, row.object.key), prefix
-            )
+        values = [predicate.value for predicate in query.predicates]
+        rows = prepared.walk(values)
+        return rows, prepared.demands(values, rows)

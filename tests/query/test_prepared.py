@@ -7,7 +7,8 @@ may be stale, with a fresh :class:`QueryExecutor` that plans from scratch.
 import pytest
 
 from repro.errors import AuthorizationError
-from repro.graphs.units import object_resource
+from repro.graphs.units import index_entry_resource, object_resource
+from repro.locking.modes import S
 from repro.nf2 import (
     AtomicType,
     RelationSchema,
@@ -98,6 +99,19 @@ class TestStalePlans:
         # one object is locked on its own, two escalate to the relation
         assert [resource[-1] for resource, _ in one] == ["t1"]
         assert [resource[-1] for resource, _ in both] == ["tools"]
+
+    def test_create_index_moves_the_walk_to_the_index(self, synthetic_stack):
+        stack = synthetic_stack
+        scanned = demands(stack.executor, stack, EFFECTOR_BY_TOOL)
+        index = stack.database.create_index("effectors", "tool")
+        lookups = []
+        lookup = index.lookup
+        index.lookup = lambda value: lookups.append(value) or lookup(value)
+        indexed = demands(stack.executor, stack, EFFECTOR_BY_TOOL)
+        assert lookups == ["tool-2"]
+        entry = (index_entry_resource(stack.catalog, "effectors", "tool", "tool-2"), S)
+        assert indexed == scanned + [entry]
+        assert indexed == fresh_demands(stack, EFFECTOR_BY_TOOL)
 
 
 class TestPreparedOnce:
