@@ -121,6 +121,75 @@ def test_plan_cache_repeated_demands(benchmark):
     )
 
 
+#: more robots than the default 16 384-step budget holds plans for (a
+#: robot X plan is 9 steps here: 5 ancestors, 2 effectors with their
+#: relation and segment, the target)
+SPILL_KWARGS = dict(n_cells=300, n_objects=1, n_robots=10, n_effectors=20)
+N_SPILL_DEMANDS = 12000
+
+
+def _spill_demands(plan_cache):
+    """Seeded X demands on robots drawn from all of them, one transaction
+    each; ``plan_cache`` replaces the shipped cache unless None."""
+    import random
+
+    database, catalog = build_cells_database(**SPILL_KWARGS)
+    stack = repro.make_stack(database, catalog)
+    if plan_cache is not None:
+        stack.protocol.plan_cache = plan_cache
+    robots = [
+        object_resource(catalog, "cells", obj.key) + ("robots", robot["robot_id"])
+        for obj in database.relation("cells")
+        for robot in obj.root["robots"]
+    ]
+    rng = random.Random(3)
+    draws = [rng.choice(robots) for _ in range(N_SPILL_DEMANDS)]
+    start = time.perf_counter()
+    for robot in draws:
+        txn = stack.txns.begin()
+        stack.protocol.request(txn, robot, X)
+        stack.txns.commit(txn)
+    elapsed = time.perf_counter() - start
+    return elapsed, stack.protocol.metrics()
+
+
+def test_plan_cache_spill_misses(benchmark):
+    """Robot X demands over more distinct plans than the step budget
+    holds: half the demands miss, and each miss composes its plan from
+    the head, the shared effector suffixes and the target."""
+    rows = []
+    results = {}
+    for label, cache in (
+        ("compose every demand", PlanCache(0)),
+        ("shipped budget (16 384 steps)", None),
+        ("unbounded budget", PlanCache(10 ** 9)),
+    ):
+        elapsed, metrics = _best((cache,), _spill_demands, rounds=1)
+        results[label] = metrics
+        demands = metrics["plan_cache_hits"] + metrics["plan_cache_misses"]
+        rows.append((
+            label,
+            "%.1f" % (elapsed / N_SPILL_DEMANDS * 1e6),
+            "%.2f" % (metrics["plan_cache_hits"] / demands),
+            metrics["plan_cache_misses"],
+            metrics["plan_cache_steps"],
+        ))
+    print_table(
+        "Plan cache spill: %d robot X demands over %d robots"
+        % (N_SPILL_DEMANDS, SPILL_KWARGS["n_cells"] * SPILL_KWARGS["n_robots"]),
+        ("variant", "us/demand", "hit ratio", "misses", "steps kept"),
+        rows,
+    )
+    shipped = results["shipped budget (16 384 steps)"]
+    locks = {metrics["locks_requested"] for metrics in results.values()}
+    assert len(locks) == 1  # the budget moves compile time, never locks
+    assert shipped["plan_cache_misses"] > N_SPILL_DEMANDS // 4
+    assert shipped["plan_cache_steps"] <= PlanCache().max_steps
+    benchmark.extra_info["spill_hit_ratio"] = rows[1][2]
+    benchmark.extra_info["spill_us_per_demand"] = rows[1][1]
+    benchmark.pedantic(_spill_demands, args=(None,), rounds=1)
+
+
 def _covered_demands(use_dense_path, rounds=300):
     """One transaction re-demanding every cell after a warm first pass —
     the workstation hot loop where every step is already covered."""

@@ -267,6 +267,16 @@ class UnitMap:
         transitive: bool = True,
         naive: Optional[bool] = None,
     ) -> List[Resource]:
+        """Entry points of inner units accessible via ``resource``, as a
+        fresh list (see :meth:`entry_points`)."""
+        return list(self.entry_points(resource, transitive, naive))
+
+    def entry_points(
+        self,
+        resource: Resource,
+        transitive: bool = True,
+        naive: Optional[bool] = None,
+    ) -> Sequence[Resource]:
         """Entry points of inner units accessible via ``resource``.
 
         With ``transitive=True`` (the default) references found *inside*
@@ -294,7 +304,8 @@ class UnitMap:
         if naive is None:
             naive = not getattr(self.database, "use_reference_index", False)
         if not naive:
-            return self.database.reference_index.entry_points_below(
+            # the index's memoized tuple itself: read it, never mutate it
+            return self.database.reference_index.closure(
                 resource, transitive=transitive
             )
         if len(resource) == 3:

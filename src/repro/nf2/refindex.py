@@ -219,11 +219,15 @@ class ReferenceIndex:
         not re-validated against the instance tree (prefix filtering never
         walks it).
         """
+        return list(self.closure(resource, transitive))
+
+    def closure(self, resource: Tuple, transitive: bool = True) -> Tuple[Tuple, ...]:
+        """:meth:`entry_points_below` as the memoized tuple itself."""
         memo_key = (resource, bool(transitive))
         hit = self._memo.get(memo_key)
         if hit is not None:
             self.memo_hits += 1
-            return list(hit)
+            return hit
         database = self._database
         relation = database.relation(resource[2])
         if len(resource) == 3:
@@ -270,7 +274,7 @@ class ReferenceIndex:
                 pending.extend(
                     r for _, r in self.direct_entries(ref.relation, ref.surrogate)
                 )
-        self._memo[memo_key] = tuple(found)
+        found = self._memo[memo_key] = tuple(found)
         return found
 
     # -- diagnostics -------------------------------------------------------

@@ -194,9 +194,20 @@ class ProtocolBase:
         #: logical demands served
         self.demands = 0
 
-    # -- to be provided by subclasses ------------------------------------------
+    # -- planning: subclasses provide _raw_steps or plan_request ---------------
 
     def plan_request(self, txn, resource, mode, via=None) -> LockPlan:
+        """Expand one demand: the merged :meth:`_raw_steps`, compiled once
+        per ``(resource, mode)`` and filtered for ``txn``.  Fits protocols
+        whose expansion reads neither the transaction nor ``via``, only
+        the object graph and schema the plan stamp covers."""
+        self._check_mode(mode)
+        merged = self.compiled_steps(
+            (resource, mode), lambda: self.merge_steps(self._raw_steps(resource, mode))
+        )
+        return self.filter_plan(txn, merged)
+
+    def _raw_steps(self, resource, mode) -> List[PlannedLock]:
         raise NotImplementedError
 
     # -- plan execution -----------------------------------------------------------
@@ -453,19 +464,19 @@ class ProtocolBase:
     def compiled_steps(self, key: tuple, build) -> Tuple[PlannedLock, ...]:
         """Merged steps for a demand, via the plan cache.
 
-        ``build()`` computes the raw step list; ``key`` must capture every
-        plan-shaping input apart from the world state the stamp covers —
-        target resource, mode, propagation options and (under rule 4') the
-        requesting principal.  Uncacheable protocols just merge.
+        ``build()`` computes the merged step tuple; ``key`` must capture
+        every plan-shaping input apart from the world state the stamp
+        covers — target resource, mode, propagation options and (under
+        rule 4') the requesting principal.  Uncacheable protocols just
+        build.
         """
         if not self.plan_cacheable:
             self._active_plan = None
-            return self.merge_steps(build())
+            return build()
         stamp = self.plan_stamp()
         plan = self.plan_cache.lookup_plan(key, stamp)
         if plan is None:
-            steps = self.merge_steps(build())
-            plan = self.plan_cache.store(key, stamp, steps)
+            plan = self.plan_cache.store(key, stamp, build())
         self._active_plan = plan
         return plan.steps
 
@@ -486,13 +497,6 @@ class ProtocolBase:
         if stamp[0] != structure or stamp[1] != auth_version:
             stamp = self._stamp = (structure, auth_version)
         return stamp
-
-    def _ancestor_steps(self, txn, resource, intention: LockMode) -> List[PlannedLock]:
-        """Intention locks on all ancestors, root first (rules 1-2)."""
-        steps = []
-        for ancestor in ancestors(resource):
-            steps.append(PlannedLock(ancestor, intention, "ancestor"))
-        return steps
 
     def _check_mode(self, mode: LockMode):
         if mode in (IS, IX, S, X, SIX):

@@ -25,12 +25,11 @@ end of transaction, handled by the transaction manager.
 
 from __future__ import annotations
 
-from typing import List, Optional
+from typing import Optional
 
 from repro.catalog.authorization import DEFAULT_RIGHTS, principal_of
 from repro.errors import AuthorizationError, ProtocolError
-from repro.graphs.units import ancestors
-from repro.locking.modes import IX, S, X, LockMode, intention_of
+from repro.locking.modes import IX, S, X, LockMode, intention_of, supremum
 from repro.protocol.base import LockPlan, PlannedLock, ProtocolBase
 
 
@@ -70,6 +69,10 @@ class HerrmannProtocol(ProtocolBase):
             raise ProtocolError("rule 4' needs an authorization manager")
         self.rule4prime = rule4prime
         self.transitive_propagation = transitive_propagation
+        #: shared downward suffixes, (entry, mode, principal class) ->
+        #: steps, valid for the plan stamp they were built under
+        self._suffixes = {}
+        self._suffix_stamp = None
 
     # -- planning ---------------------------------------------------------------
 
@@ -87,21 +90,16 @@ class HerrmannProtocol(ProtocolBase):
         """
         self._check_mode(mode)
         self._check_authorization(txn, resource, mode)
-        intention = intention_of(mode)
-        unit_root = self.units.unit_root(resource)
-        entry_point = self.units.is_entry_point(unit_root)
 
         # The via-check is transaction-dependent (it consults the caller's
         # held locks), so it runs on every demand — cache hit or not.
-        if (
-            entry_point
-            and via is not None
-            and not self.effectively_holds(txn, via, intention)
-        ):
-            raise ProtocolError(
-                "referencing node %r must be (at least) %s locked before "
-                "entry point %r may be requested" % (via, intention, resource)
-            )
+        if via is not None and self.units.in_inner_unit(resource):
+            intention = intention_of(mode)
+            if not self.effectively_holds(txn, via, intention):
+                raise ProtocolError(
+                    "referencing node %r must be (at least) %s locked before "
+                    "entry point %r may be requested" % (via, intention, resource)
+                )
 
         # Step expansion depends on the graph/schema (covered by the
         # stamp), the demand itself and — under rule 4', via the
@@ -114,87 +112,79 @@ class HerrmannProtocol(ProtocolBase):
             principal = principal_of(txn)
             if not self.authorization.is_restricted(principal):
                 principal = DEFAULT_RIGHTS
-        key = (resource, mode, propagate, principal)
         merged = self.compiled_steps(
-            key,
-            lambda: self._raw_steps(
-                txn, resource, mode, unit_root, entry_point, propagate
-            ),
+            (resource, mode, propagate, principal),
+            lambda: self._compose(txn, resource, mode, propagate, principal),
         )
         return self.filter_plan(txn, merged)
 
-    def _raw_steps(
-        self, txn, resource, mode: LockMode, unit_root, entry_point, propagate
-    ) -> List[PlannedLock]:
-        steps: List[PlannedLock] = []
+    def _compose(self, txn, resource, mode: LockMode, propagate, principal):
+        """The merged steps of one demand: the *head* (the ancestors in the
+        intention mode, "upward" above an inner unit's root), one shared
+        *downward suffix* per lower entry point (:meth:`_suffix`; S, X and
+        the semantic actual modes lock the whole subtree, so they
+        propagate) and the *target*.  As :meth:`merge_steps` would merge
+        them: head steps are distinct prefixes of the resource, so only the
+        database, segment and relation nodes can recur, keeping their
+        earliest position with the supremum mode."""
         intention = intention_of(mode)
-        if entry_point:
-            # Inner-unit node: implicit upward propagation — the immediate
-            # parents of the requested node, up to the root of the
-            # superunit (rules 1/2/3/4, entry-point case).
-            for ancestor in self.units.superunit_path(unit_root):
-                steps.append(PlannedLock(ancestor, intention, "upward"))
-            for ancestor in ancestors(resource):
-                if len(ancestor) >= len(unit_root):
-                    steps.append(PlannedLock(ancestor, intention, "ancestor"))
-        else:
-            # Outer-unit node: rule 1/2 — the root of the outer unit needs
-            # no prior locks; every non-root node needs its immediate
-            # parents intention-locked.  Planning the whole chain from the
-            # database node down achieves exactly that.
-            for ancestor in ancestors(resource):
-                steps.append(PlannedLock(ancestor, intention, "ancestor"))
+        split = 4 if self.units.in_inner_unit(resource) else 1
+        steps = [
+            PlannedLock(resource[:i], intention, "upward" if i < split else "ancestor")
+            for i in range(1, len(resource))
+        ]
+        position = {step.resource: index for index, step in enumerate(steps[:3])}
+        stamp = self.plan_stamp()
+        if self._suffix_stamp is not stamp:
+            self._suffixes.clear()
+            self._suffix_stamp = stamp
+        parts = []
+        if propagate and (mode in (S, X) or (mode.is_semantic and not mode.is_intention)):
+            own = resource[:4]  # no lower entry point, even if it references itself
+            for entry in self._entry_points(resource):
+                if entry != own:
+                    suffix = self._suffixes.get((entry, mode, principal))
+                    parts.append(suffix or self._suffix(txn, entry, mode, principal))
+        parts.append((PlannedLock(resource, mode, "target"),))
+        for part in parts:
+            for step in part:
+                index = position.get(step.resource)
+                if index is None:
+                    position[step.resource] = len(steps)
+                    steps.append(step)
+                    continue
+                held = steps[index]
+                joined = supremum(held.mode, step.mode)
+                if joined is not held.mode:
+                    steps[index] = PlannedLock(held.resource, joined, held.reason)
+        return tuple(steps)
 
-        # S, X and the semantic actual modes (SI/AP/INC) implicitly lock
-        # the whole subtree, so all of them propagate onto lower entry
-        # points; pure intention modes never do.
-        if propagate and (
-            mode in (S, X) or (mode.is_semantic and not mode.is_intention)
-        ):
-            steps.extend(self._downward_steps(txn, resource, mode))
+    def _entry_points(self, resource):
+        """Entry points of the lower inner units reachable from ``resource``."""
+        if len(resource) >= 3:
+            return self.units.entry_points(resource, self.transitive_propagation)
+        # S/X on database or segment: never requested during normal
+        # processing, but correctness demands every relation's entry points
+        database = self.catalog.database
+        entries = []
+        for relation in self.catalog.relation_names():
+            below = (database.name, database.relation(relation).segment, relation)
+            if below[: len(resource)] == resource:
+                entries.extend(self.units.entry_points(below, self.transitive_propagation))
+        return entries
 
-        steps.append(PlannedLock(resource, mode, "target"))
-        return steps
-
-    def _downward_steps(self, txn, resource, mode: LockMode) -> List[PlannedLock]:
-        """Implicit downward propagation onto lower entry points."""
-        if len(resource) < 3:
-            # S/X on database or segment: the paper's graphs never request
-            # these below-intention modes above relation level during
-            # normal processing; treat the whole database as one unit and
-            # propagate to every common-data object would be prohibitive —
-            # but correctness demands it, so we do propagate from relation
-            # level down. Database/segment S/X locks fall back to locking
-            # every relation's entry points.
-            entry_points = []
-            for relation in self.catalog.relation_names():
-                schema = self.catalog.schema(relation)
-                rel_resource = (
-                    self.catalog.database.name,
-                    schema.segment,
-                    relation,
-                )
-                if rel_resource[: len(resource)] == resource:
-                    entry_points.extend(
-                        self.units.entry_points_below(
-                            rel_resource, transitive=self.transitive_propagation
-                        )
-                    )
-        else:
-            entry_points = self.units.entry_points_below(
-                resource, transitive=self.transitive_propagation
-            )
-        steps: List[PlannedLock] = []
-        ancestor_set = set(ancestors(resource))
-        for entry in entry_points:
-            if entry == resource or entry in ancestor_set:
-                continue
-            entry_mode = self._propagated_mode(txn, entry, mode)
-            entry_intention = intention_of(entry_mode)
-            for ancestor in self.units.superunit_path(entry):
-                steps.append(PlannedLock(ancestor, entry_intention, "downward-path"))
-            steps.append(PlannedLock(entry, entry_mode, "downward"))
-        return steps
+    def _suffix(self, txn, entry, mode: LockMode, principal):
+        """The steps a lower entry point adds: its superunit path in the
+        intention of the propagated mode, then the entry in that mode.  Not
+        the object reaching the entry but the entry, the mode and (rule 4')
+        the principal fix them, so plans of one stamp share them."""
+        entry_mode = self._propagated_mode(txn, entry, mode)
+        entry_intention = intention_of(entry_mode)
+        suffix = self._suffixes[(entry, mode, principal)] = tuple(
+            PlannedLock(ancestor, entry_intention, "downward-path")
+            for ancestor in self.units.superunit_path(entry)
+        ) + (PlannedLock(entry, entry_mode, "downward"),)
+        return suffix
 
     def _propagated_mode(self, txn, entry_resource, mode: LockMode) -> LockMode:
         """Mode pushed onto a lower entry point (rule 3, 4 or 4')."""

@@ -25,7 +25,7 @@ from repro.locking.modes import S, X, LockMode, intention_of
 from repro.nf2.paths import ElemStep
 from repro.nf2.types import ListType, SetType, TupleType
 from repro.nf2.values import ComplexObject, ListValue, Reference, SetValue, TupleValue
-from repro.protocol.base import LockPlan, PlannedLock, ProtocolBase
+from repro.protocol.base import PlannedLock, ProtocolBase
 
 
 def tuple_resources_below(units, resource, follow_references=True):
@@ -162,16 +162,6 @@ class SystemRTupleProtocol(ProtocolBase):
         super().__init__(manager, catalog, authorization=authorization, **kwargs)
         self.follow_references = follow_references
 
-    def plan_request(self, txn, resource, mode: LockMode, via=None) -> LockPlan:
-        # The expansion walks instance trees (tuple_resources_below), so it
-        # depends on object *content* — which the structure-version stamp
-        # covers — but never on the requesting transaction.
-        self._check_mode(mode)
-        merged = self.compiled_steps(
-            (resource, mode), lambda: self._raw_steps(resource, mode)
-        )
-        return self.filter_plan(txn, merged)
-
     def _raw_steps(self, resource, mode: LockMode) -> List[PlannedLock]:
         from repro.graphs.units import is_index_resource
 
@@ -209,15 +199,6 @@ class SystemRRelationProtocol(ProtocolBase):
     """
 
     name = "system_r_relation"
-
-    def plan_request(self, txn, resource, mode: LockMode, via=None) -> LockPlan:
-        # Schema-only expansion: cacheable under the same stamp (relation
-        # creation bumps the structure version).
-        self._check_mode(mode)
-        merged = self.compiled_steps(
-            (resource, mode), lambda: self._raw_steps(resource, mode)
-        )
-        return self.filter_plan(txn, merged)
 
     def _raw_steps(self, resource, mode: LockMode) -> List[PlannedLock]:
         intention = intention_of(mode)

@@ -19,22 +19,13 @@ from typing import List
 
 from repro.graphs.units import ancestors
 from repro.locking.modes import S, X, LockMode, intention_of
-from repro.protocol.base import LockPlan, PlannedLock, ProtocolBase
+from repro.protocol.base import PlannedLock, ProtocolBase
 
 
 class XSQLProtocol(ProtocolBase):
     """Whole-complex-object granularity locking."""
 
     name = "xsql"
-
-    def plan_request(self, txn, resource, mode: LockMode, via=None) -> LockPlan:
-        # Whole-object expansion depends only on the reference closure —
-        # the structure-version stamp covers it; no transaction inputs.
-        self._check_mode(mode)
-        merged = self.compiled_steps(
-            (resource, mode), lambda: self._raw_steps(resource, mode)
-        )
-        return self.filter_plan(txn, merged)
 
     def _raw_steps(self, resource, mode: LockMode) -> List[PlannedLock]:
         intention = intention_of(mode)

@@ -32,7 +32,7 @@ from typing import List, Optional, Tuple
 from repro.errors import QueryError
 from repro.graphs.units import component_resource, index_resource, relation_resource
 from repro.locking.modes import LockMode, S
-from repro.nf2.paths import AttrStep, ElemStep
+from repro.nf2.paths import AttrStep, ElemStep, resolve_type
 from repro.nf2.types import TupleType
 from repro.nf2.values import ListValue, SetValue, TupleValue
 from repro.query.analyzer import QueryAnalyzer
@@ -126,6 +126,7 @@ class PreparedQuery:
              len(annotation.path))
             for annotation in graph.annotations
         ]
+        _assigned_types(relation, query)  # a refused SET fails once per shape
         #: (slot, index resource) of the root's indexed equalities
         self.entries = [
             (slot, index_resource(catalog, root.relation, name)) for slot, name in indexed
@@ -212,6 +213,31 @@ class PreparedQuery:
         return demands
 
 
+def _assigned_types(relation, query: Query) -> list:
+    """The type of the attribute each SET clause of ``query`` writes.
+
+    A schema key or an indexed root attribute is refused: a key names the
+    object or element the query's granules lock and an index entry is a
+    granule of its own, so writing either moves what others lock.
+    """
+    chain = query.chain_to(query.select_var)
+    selected = []
+    for binding in chain[1:]:
+        selected += [*map(AttrStep, binding.path), ElemStep("*")]
+    refused = {getattr(resolve_type(relation.schema.object_type, selected), "key", None)}
+    refused.update(relation.indexes if len(chain) == 1 else ())
+    for assignment in query.assignments:
+        if assignment.path[0] in refused:
+            raise QueryError(
+                "SET cannot write %s.%s, a schema key or an indexed attribute; use "
+                "TransactionManager.update_component" % (assignment.var, assignment.path[0])
+            )
+    return [
+        resolve_type(relation.schema.object_type, selected + list(map(AttrStep, a.path)))
+        for a in query.assignments
+    ]
+
+
 def _matches(value, tests) -> bool:
     """Whether ``value`` passes every (path, literal) equality test."""
     for path, literal in tests:
@@ -262,32 +288,28 @@ class QueryExecutor:
         return rows
 
     def _apply_assignments(self, txn, query: Query, rows):
-        """Apply SET clauses to every selected row (locks already held)."""
+        """Apply SET clauses to every selected row (locks already held).
+
+        Every value is checked against its attribute's type first, so a
+        rejected statement writes nothing.
+        """
         relation = self.database.relation(query.root_binding().relation)
+        types = _assigned_types(relation, query)
+        for assignment, value_type in zip(query.assignments, types):
+            value_type.validate(assignment.value, resolver=self.database._resolves)
+        record_undo = getattr(txn, "record_undo", None)
         for row in rows:
             for assignment in query.assignments:
                 container = row.value
                 for part in assignment.path[:-1]:
-                    if not isinstance(container, TupleValue):
-                        raise QueryError(
-                            "SET path %r does not resolve" % (assignment.path,)
-                        )
                     container = container[part]
-                if not isinstance(container, TupleValue):
-                    raise QueryError(
-                        "SET path %r does not resolve" % (assignment.path,)
-                    )
                 last = assignment.path[-1]
                 old_value = container[last]
                 container[last] = assignment.value
-                record_undo = getattr(txn, "record_undo", None)
                 if record_undo is not None:
                     record_undo(
                         lambda c=container, n=last, v=old_value: c.__setitem__(n, v)
                     )
-            relation.schema.object_type.validate(
-                row.object.root, resolver=self.database._resolves
-            )
 
     def lock_requirements(self, txn, query) -> Tuple[List[ResultRow], List[Tuple[Tuple, LockMode]]]:
         """Rows plus the (resource, mode) demands, without acquiring locks.

@@ -202,22 +202,24 @@ def _lifted(query: Query) -> list:
 
 
 def _bind(template: Query, values: list) -> Query:
-    """``template`` with its lifted literals replaced by ``values``."""
+    """``template`` with its lifted literals replaced by ``values``: a copy
+    sharing its validated parts and shape (neither reads a literal), with
+    clause lists of its own."""
     values = iter(values)
-    return Query(
-        template.select_var,
-        template.bindings,
-        [
+    query = Query.__new__(Query)
+    query.__dict__.update(
+        template.__dict__,
+        _shape=template.shape,
+        predicates=[
             p if type(p.value) is bool else Predicate(p.var, p.path, next(values))
             for p in template.predicates
         ],
-        template.access,
-        template.select_path,
         assignments=[
             a if type(a.value) is bool else Assignment(a.var, a.path, next(values))
             for a in template.assignments
         ],
     )
+    return query
 
 
 def _parse(text: str) -> Query:

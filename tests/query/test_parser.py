@@ -290,3 +290,43 @@ class TestShapeMemo:
             parse_query(text)
         assert len(parser._shapes) == parser.SHAPE_MEMO_SIZE
         assert texts[-1] in parser._shapes and texts[0] not in parser._shapes
+
+
+class TestRebind:
+    """A memo hit copies the validated template instead of re-running
+    ``Query.__init__``: the validated parts and the shape are shared, the
+    clause lists are the copy's own."""
+
+    TEXT = (
+        "SELECT r FROM c IN cells, r IN c.robots WHERE c.cell_id = %s "
+        "AND r.robot_id = %s FOR UPDATE SET r.trajectory = %s"
+    )
+
+    def test_rebound_query_shares_the_template_shape(self):
+        first = parse_query(self.TEXT % ("'c1'", "'r1'", "'t'"))
+        second = parse_query(self.TEXT % ("'c2'", "'r2'", "'u'"))
+        assert second.shape is first.shape
+        assert [p.value for p in second.predicates] == ["c2", "r2"]
+        assert second.assignments[0].value == "u"
+
+    def test_clause_lists_are_fresh(self):
+        first = parse_query(self.TEXT % ("'c1'", "'r1'", "'t'"))
+        second = parse_query(self.TEXT % ("'c2'", "'r2'", "'u'"))
+        assert second.predicates is not first.predicates
+        assert second.assignments is not first.assignments
+        second.predicates.clear()
+        second.assignments.clear()
+        third = parse_query(self.TEXT % ("'c3'", "'r3'", "'v'"))
+        assert [p.value for p in third.predicates] == ["c3", "r3"]
+        assert [a.value for a in third.assignments] == ["v"]
+        assert _fields(third) == _fields(parser._parse(self.TEXT % ("'c3'", "'r3'", "'v'")))
+
+    def test_invalid_text_of_a_new_shape_raises_the_full_parser_error(self):
+        parse_query("SELECT c FROM c IN cells WHERE c.cell_id = 'c1' FOR READ")
+        invalid = "SELECT x FROM c IN cells WHERE c.cell_id = %s FOR READ"
+        for literal in ("'c1'", "'c2'"):  # the shape is never kept
+            assert _outcome(parse_query, invalid % literal) == _outcome(
+                parser._parse, invalid % literal
+            )
+            with pytest.raises(QueryError, match="not bound"):
+                parse_query(invalid % literal)

@@ -2,8 +2,10 @@
 
 import pytest
 
+import repro
 from repro.errors import QueryError, SchemaError
 from repro.query.parser import parse_query
+from repro.workloads import build_cells_database
 
 
 class TestParsing:
@@ -123,3 +125,83 @@ class TestExecution:
             reader, "cells", "c1", "robots[r1].trajectory"
         )
         assert value == "v2"
+
+
+def small_cells_stack():
+    return repro.make_stack(
+        *build_cells_database(n_cells=3, n_objects=2, n_robots=2, n_effectors=3, seed=4)
+    )
+
+
+ROBOT = (
+    "SELECT r FROM c IN cells, r IN c.robots "
+    "WHERE c.cell_id = 'c1' AND r.robot_id = '%s' FOR UPDATE"
+)
+
+
+class TestKeysAndIndexesAreNotAssignable:
+    """A SET that changes a key or an indexed attribute would change what
+    other transactions lock (or find through the index) without their locks
+    or the index following; such writes go through update_component."""
+
+    def test_element_key_refused_and_nothing_readable_under_the_new_name(self):
+        stack = small_cells_stack()
+        writer = stack.txns.begin()
+        with pytest.raises(QueryError, match="update_component"):
+            stack.executor.execute(writer, ROBOT % "r1_1" + " SET r.robot_id = 'r9'")
+        reader = stack.txns.begin()
+        assert stack.executor.execute(reader, ROBOT % "r9") == []
+        assert len(stack.executor.execute(reader, ROBOT % "r1_1")) == 1
+
+    def test_root_key_refused_and_the_object_still_found(self):
+        stack = small_cells_stack()
+        txn = stack.txns.begin()
+        with pytest.raises(QueryError, match="update_component"):
+            stack.executor.execute(
+                txn, "SELECT c FROM c IN cells WHERE c.cell_id = 'c1' FOR UPDATE SET c.cell_id = 'zz'"
+            )
+        stack.txns.commit(txn)
+        reader = stack.txns.begin()
+        find = "SELECT c FROM c IN cells WHERE c.cell_id = '%s' FOR READ"
+        assert len(stack.executor.execute(reader, find % "c1")) == 1
+        assert stack.executor.execute(reader, find % "zz") == []
+
+    def test_indexed_attribute_refused_once_the_index_exists(self):
+        stack = small_cells_stack()
+        update = "SELECT e FROM e IN effectors WHERE e.eff_id = 'e1' FOR UPDATE SET e.tool = '%s'"
+        txn = stack.txns.begin()
+        stack.executor.execute(txn, update % "before")
+        stack.txns.commit(txn)
+        stack.database.create_index("effectors", "tool")
+        txn = stack.txns.begin()
+        with pytest.raises(QueryError, match="update_component"):
+            stack.executor.execute(txn, update % "NEWVAL")
+        stack.txns.commit(txn)
+        reader = stack.txns.begin()
+        find = "SELECT e FROM e IN effectors WHERE e.tool = '%s' FOR READ"
+        assert stack.executor.execute(reader, find % "NEWVAL") == []
+        assert len(stack.executor.execute(reader, find % "before")) == 1
+
+    def test_lock_requirements_refuse_too(self):
+        stack = small_cells_stack()
+        txn = stack.txns.begin()
+        with pytest.raises(QueryError):
+            stack.executor.lock_requirements(txn, ROBOT % "r1_1" + " SET r.robot_id = 'r9'")
+
+
+class TestRejectedSetWritesNothing:
+    def test_schema_error_leaves_the_value_and_a_valid_set_succeeds(self):
+        stack = small_cells_stack()
+        [robot] = [r for r in stack.database.get("cells", "c1").root["robots"] if r["robot_id"] == "r1_1"]
+        before = robot["trajectory"]
+        txn = stack.txns.begin()
+        with pytest.raises(SchemaError):
+            stack.executor.execute(
+                txn, ROBOT % "r1_1" + " SET r.trajectory = 'kept-out', r.trajectory = 7"
+            )
+        stack.txns.commit(txn)
+        assert robot["trajectory"] == before
+        txn = stack.txns.begin()
+        stack.executor.execute(txn, ROBOT % "r1_1" + " SET r.trajectory = 'valid'")
+        stack.txns.commit(txn)
+        assert robot["trajectory"] == "valid"

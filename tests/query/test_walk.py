@@ -168,7 +168,56 @@ def query_text(parts) -> str:
     return "%s%s FOR %s" % (head, " WHERE " + where if where else "", access)
 
 
+STOCK = (("bolt", 3), ("nut", 5), ("washer", 7))
+
+
+def sited_bins_database():
+    """Bins at three sites, two each: an equality on the non-key ``site``
+    selects several objects without escalating to the relation, so their
+    parts sets are per-object granules above the first element step."""
+    part = TupleType([("name", AtomicType("str")), ("qty", AtomicType("int"))], key="name")
+    database = Database("db1")
+    catalog = Catalog(database)
+    database.create_relation(
+        RelationSchema(
+            "bins",
+            TupleType([
+                ("bin_id", AtomicType("str")), ("site", AtomicType("str")),
+                ("parts", SetType(part)),
+            ]),
+        )
+    )
+    for number in range(6):
+        database.insert(
+            "bins",
+            make_tuple(
+                bin_id="b%d" % number,
+                site=("north", "south", "east")[number % 3],
+                parts=make_set(*(
+                    make_tuple(name=name, qty=qty)
+                    for name, qty in STOCK[: 1 + (number + number // 3) % 3]
+                )),
+            ),
+        )
+    return database, catalog
+
+
+def bin_queries():
+    """Scan- or index-rooted queries over several bins of one site."""
+    site = st.sampled_from(["b.site = 'north'", "b.site = 'east'", "b.site = 'west'"])
+    return st.tuples(
+        st.sampled_from([
+            "SELECT p FROM b IN bins, p IN b.parts", "SELECT p.qty FROM b IN bins, p IN b.parts",
+            "SELECT b FROM b IN bins",
+        ]),
+        site,
+        st.sampled_from(["", "p.qty = 5", "p.name = 'washer'"]),
+        st.sampled_from(["READ", "UPDATE"]),
+    ).filter(lambda parts: parts[0] != "SELECT b FROM b IN bins" or not parts[2])
+
+
 DATABASES = {
+    "bins": (sited_bins_database, bin_queries(), ("bins", "site")),
     "cells": (
         lambda: build_cells_database(
             n_cells=4, n_objects=5, n_robots=3, n_effectors=6, refs_per_robot=2, seed=7
@@ -205,3 +254,15 @@ def test_walk_matches_reference(name, data):
             stack.database.create_index(relation, attribute)
         for text in batch:
             assert outcome(stack.executor, stack, text) == outcome(reference, stack, text)
+
+
+def test_granule_above_the_first_element_step_is_one_per_object():
+    stack = repro.make_stack(*sited_bins_database())
+    txn = stack.txns.begin()
+    rows, demands = stack.executor.lock_requirements(
+        txn, "SELECT p.qty FROM b IN bins, p IN b.parts WHERE b.site = 'east' FOR UPDATE"
+    )
+    assert [row.object.key for row in rows] == ["b2", "b2", "b2", "b5"]
+    assert demands == [
+        (object_resource(stack.catalog, "bins", key) + ("parts",), X) for key in ("b2", "b5")
+    ]
