@@ -18,18 +18,13 @@ import repro
 from repro.sim import Simulator, WorkloadSpec, submit_workload
 from repro.workloads import build_cells_database
 
-#: CI runs the smoke subset under an ablation matrix — REPRO_DENSE=0/1
-#: and REPRO_SEMANTIC=0/1 — to show batched acquisition, the dense-ID
-#: fast path and the semantic-mode vocabulary leave every benchmark's
-#: correctness assertions (lock counts, tables, anomalies) untouched.
-#: The semantic flag only widens the accepted mode set; benchmarks that
-#: demand classic modes must behave identically under it.
-_DENSE_ABLATION = os.environ.get("REPRO_DENSE") == "1"
-_SEMANTIC_ABLATION = os.environ.get("REPRO_SEMANTIC") == "1"
+#: CI runs the smoke subset with REPRO_SEMANTIC=0 and =1 to show the
+#: semantic-mode vocabulary leaves every benchmark's correctness
+#: assertions (lock counts, tables, anomalies) untouched.  The flag only
+#: widens the accepted mode set; benchmarks that demand classic modes
+#: must behave identically under it.
 ABLATION_FLAGS = dict(
-    use_batched_acquire=_DENSE_ABLATION,
-    use_dense_path=_DENSE_ABLATION,
-    use_semantic_modes=_SEMANTIC_ABLATION,
+    use_semantic_modes=os.environ.get("REPRO_SEMANTIC") == "1",
 )
 
 

@@ -12,7 +12,7 @@ import time
 
 import pytest
 
-from benchmarks._common import ABLATION_FLAGS, print_table
+from benchmarks._common import print_table
 from repro.locking import LockManager, LockTable, find_cycle
 from repro.locking.modes import (
     ALL_MODES,
@@ -56,10 +56,9 @@ def test_uncontended_txn_lifecycle(benchmark):
 
     A fresh 20-step plan (intention chain, then leaves nobody holds)
     through ``acquire_many``, then ``release_all``: every step builds its
-    entry already granted and EOT release walks the grants once.  Runs on
-    the dense table on the CI dense-path row.
+    entry already granted and EOT release walks the grants once.
     """
-    manager = LockManager(use_dense_path=ABLATION_FLAGS["use_dense_path"])
+    manager = LockManager()
     chain = [("db",), ("db", "seg"), ("db", "seg", "rel"), ("db", "seg", "rel", "o")]
     plan = [(resource, IX) for resource in chain]
     plan += [(chain[-1] + ("m%d" % i,), S) for i in range(20 - len(chain))]
@@ -229,18 +228,15 @@ def test_mode_tables_vs_dicts(benchmark):
     benchmark(sweep, compatible, supremum)
 
 
-def test_dense_reacquire_vs_object(benchmark):
+def test_covered_reacquire(benchmark):
     """E11e: repeated whole-object demands at the table level.
 
     A whole-object demand expands to the intention chain plus dozens of
     member locks; re-demanding a covered object is the hot case.  The
-    object path re-submits every step through ``request()`` (the table
-    detects the held mode per step); the PR 3 batch prunes against the
-    object-keyed summary; the dense path prunes with int probes against
-    flat tables.  The PR's acceptance bar is >= 3x dense vs object.
+    re-grant path re-submits every step through ``request()`` (the table
+    detects the held mode per step); the group request prunes against
+    the per-transaction held-mode summary.
     """
-    from repro.locking.dense import DenseLockTable, DenseSteps
-
     plan = [
         (("db1",), IX),
         (("db1", "seg1"), IX),
@@ -253,31 +249,27 @@ def test_dense_reacquire_vs_object(benchmark):
         )
     rounds = 2000
 
-    def regrant(table, steps):
+    def regrant(table):
         for _ in range(rounds):
             for resource, mode in plan:
                 table.request("t1", resource, mode)
 
-    def batched(table, steps):
+    def batched(table):
         for _ in range(rounds):
-            table.request_many("t1", steps)
+            table.request_many("t1", plan)
 
     timings = {}
-    for label, table, steps, runner in (
-        ("object re-grant request()", LockTable(), plan, regrant),
-        ("object batch request_many()", LockTable(), plan, batched),
-        ("dense batch DenseSteps", DenseLockTable(), None, batched),
+    for label, runner in (
+        ("re-grant request()", regrant),
+        ("batch request_many()", batched),
     ):
-        if steps is None:  # compile the plan against the dense interner
-            rids = [table.interner.intern(r) for r, _ in plan]
-            codes = [m.code for _, m in plan]
-            steps = DenseSteps(rids, codes, table.interner)
+        table = LockTable()
         table.request_many("t1", plan)
         start = time.perf_counter()
-        runner(table, steps)
+        runner(table)
         timings[label] = time.perf_counter() - start
         assert table.lock_count() == len(plan)
-    base = timings["object re-grant request()"]
+    base = timings["re-grant request()"]
     print_table(
         "E11e: covered re-demand of a %d-step whole-object plan (%d rounds)"
         % (len(plan), rounds),
@@ -287,20 +279,12 @@ def test_dense_reacquire_vs_object(benchmark):
             for label, t in timings.items()
         ],
     )
-    dense_speedup = base / timings["dense batch DenseSteps"]
-    assert dense_speedup >= 3.0, (
-        "dense path only %.2fx vs object re-grant" % dense_speedup
-    )
-    benchmark.extra_info["dense_reacquire_speedup"] = round(dense_speedup, 3)
     benchmark.extra_info["batched_reacquire_speedup"] = round(
-        base / timings["object batch request_many()"], 3
+        base / timings["batch request_many()"], 3
     )
-    dense = DenseLockTable()
-    rids = [dense.interner.intern(r) for r, _ in plan]
-    codes = [m.code for _, m in plan]
-    dense_steps = DenseSteps(rids, codes, dense.interner)
-    dense.request_many("t1", plan)
-    benchmark.pedantic(batched, args=(dense, dense_steps), rounds=5)
+    table = LockTable()
+    table.request_many("t1", plan)
+    benchmark.pedantic(batched, args=(table,), rounds=5)
 
 
 def test_release_all_scales_with_own_locks_not_table(benchmark):

@@ -1,13 +1,14 @@
-"""Compiled lock-plan cache and batched group acquisition (perf ablation).
+"""Compiled lock-plan cache (perf ablation) and batched re-acquisition.
 
 Repeated demands against the same object graph dominate the paper's
 workstation scenario: every checkout/read of a cell re-derives the same
 rule 1-4' expansion.  The plan cache memoizes the merged step list keyed
 by (resource, mode, propagate, principal-class) and stamped with the
-structure/authorization versions; batching hands the whole plan to the
-lock table as one group request.  Both must be invisible in lock
-semantics (see ``repro-check differential``) — here we measure what they
-buy in wall time and lock-table traffic.
+structure/authorization versions.  It must be invisible in lock
+semantics (see ``repro-check differential``) — here we measure what it
+buys in wall time and lock-table traffic, and what the lock table's
+group request (``request_many``, the served path) costs on a covered
+plan.
 """
 
 import time
@@ -24,16 +25,11 @@ DB_KWARGS = dict(n_cells=6, n_robots=10, n_effectors=30)
 N_TXNS = 300
 
 
-def _stack(cached, use_batched_acquire, use_dense_path=False):
+def _stack(cached):
     """``cached=False`` installs a zero-budget cache: every demand is
     compiled afresh and none is retained."""
     database, catalog = build_cells_database(**DB_KWARGS)
-    stack = repro.make_stack(
-        database,
-        catalog,
-        use_batched_acquire=use_batched_acquire,
-        use_dense_path=use_dense_path,
-    )
+    stack = repro.make_stack(database, catalog)
     if not cached:
         stack.protocol.plan_cache = PlanCache(0)
     cells = [
@@ -43,11 +39,9 @@ def _stack(cached, use_batched_acquire, use_dense_path=False):
     return stack, cells
 
 
-def _repeated_demands(
-    cached, use_batched_acquire, use_dense_path=False, n_txns=N_TXNS
-):
+def _repeated_demands(cached, n_txns=N_TXNS):
     """n short transactions, each S-locking one whole cell (round-robin)."""
-    stack, cells = _stack(cached, use_batched_acquire, use_dense_path)
+    stack, cells = _stack(cached)
     start = time.perf_counter()
     for i in range(n_txns):
         txn = stack.txns.begin()
@@ -69,14 +63,12 @@ def _best(variant, fn=None, rounds=3):
 
 def test_plan_cache_repeated_demands(benchmark):
     """The BENCH_2 headline: cache on vs off on repeated whole-cell reads."""
-    off_time, off_metrics = _best((False, False))
-    cache_time, cache_metrics = _best((True, False))
-    both_time, both_metrics = _best((True, True))
-    dense_time, dense_metrics = _best((True, True, True))
+    off_time, off_metrics = _best((False,))
+    cache_time, cache_metrics = _best((True,))
     speedup = off_time / cache_time
     print_table(
-        "Plan cache + batched acquisition: %d repeated S demands "
-        "(%d cells x %d robots)" % (N_TXNS, DB_KWARGS["n_cells"], DB_KWARGS["n_robots"]),
+        "Plan cache: %d repeated S demands (%d cells x %d robots)"
+        % (N_TXNS, DB_KWARGS["n_cells"], DB_KWARGS["n_robots"]),
         ("variant", "best of 3", "speedup", "cache hits", "misses"),
         [
             ("compile every demand", "%.4fs" % off_time, "1.00x", "-", "-"),
@@ -87,37 +79,18 @@ def test_plan_cache_repeated_demands(benchmark):
                 cache_metrics["plan_cache_hits"],
                 cache_metrics["plan_cache_misses"],
             ),
-            (
-                "plan cache + batching",
-                "%.4fs" % both_time,
-                "%.2fx" % (off_time / both_time),
-                both_metrics["plan_cache_hits"],
-                both_metrics["plan_cache_misses"],
-            ),
-            (
-                "+ dense path",
-                "%.4fs" % dense_time,
-                "%.2fx" % (off_time / dense_time),
-                dense_metrics["plan_cache_hits"],
-                dense_metrics["plan_cache_misses"],
-            ),
         ],
     )
     # Same lock traffic either way — the ablation only moves compile time.
     assert off_metrics["locks_requested"] == cache_metrics["locks_requested"]
-    assert off_metrics["locks_requested"] == dense_metrics["locks_requested"]
     assert cache_metrics["plan_cache_hits"] >= N_TXNS - DB_KWARGS["n_cells"]
     # the acceptance bar for this PR; measured ~2x with margin
     assert speedup >= 1.3
     benchmark.extra_info["plan_cache_speedup"] = round(speedup, 3)
-    benchmark.extra_info["plan_cache_batched_speedup"] = round(
-        off_time / both_time, 3
-    )
-    benchmark.extra_info["dense_path_speedup"] = round(off_time / dense_time, 3)
     benchmark.extra_info["plan_cache_hits"] = cache_metrics["plan_cache_hits"]
     benchmark.extra_info["plan_cache_misses"] = cache_metrics["plan_cache_misses"]
     benchmark.pedantic(
-        _repeated_demands, args=(True, True), rounds=5
+        _repeated_demands, args=(True,), rounds=5
     )
 
 
@@ -190,53 +163,12 @@ def test_plan_cache_spill_misses(benchmark):
     benchmark.pedantic(_spill_demands, args=(None,), rounds=1)
 
 
-def _covered_demands(use_dense_path, rounds=300):
-    """One transaction re-demanding every cell after a warm first pass —
-    the workstation hot loop where every step is already covered."""
-    stack, cells = _stack(use_dense_path, use_dense_path, use_dense_path)
-    txn = stack.txns.begin()
-    for cell in cells:
-        stack.protocol.request(txn, cell, S)
-    start = time.perf_counter()
-    for _ in range(rounds):
-        for cell in cells:
-            stack.protocol.request(txn, cell, S)
-    elapsed = time.perf_counter() - start
-    stack.txns.commit(txn)
-    return elapsed, stack.protocol.metrics()
-
-
-def test_dense_covered_whole_cell_demands(benchmark):
-    """Dense vs object on repeated covered whole-cell demands (the PR's
-    acceptance workload): plans replay from the cache and die in the
-    flat-array filter instead of being recompiled and re-filtered
-    object-by-object."""
-    object_time, object_metrics = _best((False,), _covered_demands)
-    dense_time, dense_metrics = _best((True,), _covered_demands)
-    speedup = object_time / dense_time
-    print_table(
-        "Covered whole-cell re-demands: object path vs dense path",
-        ("variant", "best of 3", "speedup", "cache hits"),
-        [
-            ("object", "%.4fs" % object_time, "1.00x",
-             object_metrics["plan_cache_hits"]),
-            ("dense", "%.4fs" % dense_time, "%.2fx" % speedup,
-             dense_metrics["plan_cache_hits"]),
-        ],
-    )
-    assert object_metrics["locks_requested"] == dense_metrics["locks_requested"]
-    # acceptance bar: >= 3x dense vs object (measured ~9x)
-    assert speedup >= 3.0, "dense path only %.2fx vs object" % speedup
-    benchmark.extra_info["dense_covered_speedup"] = round(speedup, 3)
-    benchmark.pedantic(_covered_demands, args=(True,), rounds=5)
-
-
 def test_plan_cache_invalidation_churn(benchmark):
     """Structural mutations between demands bound the attainable hit rate."""
     rows = []
     for label, every in (("no mutations", 0), ("insert every 10th", 10),
                          ("insert every 3rd", 3)):
-        stack, cells = _stack(True, False)
+        stack, cells = _stack(True)
         from repro.nf2 import make_tuple
 
         inserted = 0
@@ -270,7 +202,7 @@ def test_plan_cache_invalidation_churn(benchmark):
     assert heavy[4] > light[4] > 0
     benchmark.extra_info["hits_no_churn"] = none[2]
     benchmark.extra_info["hits_heavy_churn"] = heavy[2]
-    benchmark.pedantic(_repeated_demands, args=(True, False), rounds=3)
+    benchmark.pedantic(_repeated_demands, args=(True,), rounds=3)
 
 
 def _sequential_reacquire(table, plan, rounds):

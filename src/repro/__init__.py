@@ -83,25 +83,15 @@ class LockStack:
         self.authorization = (
             authorization if authorization is not None else AuthorizationManager()
         )
-        # the dense-path flag steers both halves of the stack: the manager
-        # builds the int-indexed pooled lock table and the protocol runs
-        # compiled plans through the flat-array filter against it.  With
-        # shards=N the manager is the sharded deployment instead — same
-        # call surface, lock table partitioned by interned resource id
-        # (the protocol then executes plans through the object path; the
-        # sharded facade is not itself a dense table).
+        # one lock table, or with shards=N the sharded deployment: same
+        # call surface, the table partitioned by interned resource id
         shards = protocol_kwargs.pop("shards", None)
         if shards:
             from repro.service.sharded import ShardedLockManager
 
-            self.manager = ShardedLockManager(
-                n_shards=shards,
-                use_dense_path=protocol_kwargs.get("use_dense_path", False),
-            )
+            self.manager = ShardedLockManager(n_shards=shards)
         else:
-            self.manager = LockManager(
-                use_dense_path=protocol_kwargs.get("use_dense_path", False)
-            )
+            self.manager = LockManager()
         if protocol_cls is HerrmannProtocol:
             protocol_kwargs.setdefault("authorization", self.authorization)
         self.protocol = protocol_cls(self.manager, self.catalog, **protocol_kwargs)

@@ -31,7 +31,6 @@ from repro.check.differential import (
     ablation_fingerprints,
     assert_ablations_agree,
     check_rules_for,
-    dense_path_fingerprints,
     differential_check,
     explore_protocols,
     find_unsafe_counterexample,
@@ -130,12 +129,7 @@ def _build_parser() -> argparse.ArgumentParser:
     diff.add_argument(
         "--no-plan-cache",
         action="store_true",
-        help="skip the plan cache + batching vs. uncached comparison",
-    )
-    diff.add_argument(
-        "--no-dense-path",
-        action="store_true",
-        help="skip the dense-ID fast path vs. object path comparison",
+        help="skip the plan cache vs. uncached comparison",
     )
     diff.add_argument(
         "--no-sharding",
@@ -385,7 +379,6 @@ def cmd_differential(args) -> int:
             seed=args.seed,
             ablations=not args.no_ablations,
             plan_cache=not args.no_plan_cache,
-            dense_path=not args.no_dense_path,
             sharding=not args.no_sharding,
             semantic_modes=not args.no_semantic_modes,
         )
@@ -445,15 +438,9 @@ def _print_differential(summary) -> None:
         )
     if "plan_cache_schedules" in summary:
         print(
-            "  plan cache + batching invisible: %d schedules with "
+            "  plan cache invisible: %d schedules with "
             "bit-identical lock traces on vs off"
             % summary["plan_cache_schedules"]
-        )
-    if "dense_path_schedules" in summary:
-        print(
-            "  dense path invisible: %d schedules with bit-identical "
-            "lock traces dense vs object"
-            % summary["dense_path_schedules"]
         )
     if "sharding_schedules" in summary:
         print(
@@ -517,23 +504,11 @@ def cmd_smoke(args) -> int:
             )
             schedules = assert_ablations_agree(fingerprints)
             print(
-                "%s plan cache + batching invisible: %d schedules with "
+                "%s plan cache invisible: %d schedules with "
                 "bit-identical lock traces on vs off" % (name, schedules)
             )
         except CheckError as exc:
             print("SMOKE FAILURE (%s plan cache): %s" % (name, exc))
-            failures += 1
-        try:
-            fingerprints = dense_path_fingerprints(
-                WORKLOADS[name], max_schedules=max_schedules, max_steps=max_steps
-            )
-            schedules = assert_ablations_agree(fingerprints)
-            print(
-                "%s dense path invisible: %d schedules with bit-identical "
-                "lock traces dense vs object" % (name, schedules)
-            )
-        except CheckError as exc:
-            print("SMOKE FAILURE (%s dense path): %s" % (name, exc))
             failures += 1
         try:
             fingerprints = semantic_modes_fingerprints(

@@ -17,10 +17,10 @@ ablation paths, must tell one coherent story:
   or their dict-backed naive twins, must produce bit-identical schedule
   fingerprints (same interleavings, same outcomes, same final states);
 * the **plan-compilation layer** must be invisible down to the lock
-  trace: a workload replayed with the compiled-plan cache and batched
-  group acquisition versus uncached, step-by-step planning must produce
-  bit-identical lock-trace fingerprints — every request, grant, wait and
-  release event in the same order, not merely the same final state.
+  trace: a workload replayed with the compiled-plan cache versus
+  uncached planning must produce bit-identical lock-trace fingerprints —
+  every request, grant, wait and release event in the same order, not
+  merely the same final state.
 """
 
 from __future__ import annotations
@@ -225,12 +225,12 @@ def plan_cache_fingerprints(
     max_schedules: int = 5000,
     max_steps: int = 300,
 ) -> Dict[str, tuple]:
-    """Explore one workload with plan caching + batching off vs. on.
+    """Explore one workload with plan caching off vs. on.
 
     "Off" builds every stack with a zero-budget :class:`PlanCache`.  The
     fingerprints *include the lock-trace narrative*: the compiled-plan
-    cache and batched group acquisition claim to be pure performance
-    layers, so the bar is event-for-event identity of the lock operations.
+    cache claims to be a pure performance layer, so the bar is
+    event-for-event identity of the lock operations.
     :func:`assert_ablations_agree` checks the two paths coincide.
     """
 
@@ -240,34 +240,9 @@ def plan_cache_fingerprints(
         return stack, programs
 
     return _on_off_fingerprints(
-        "plan-cache+batching",
+        "plan-cache",
         (Workload(workload.name, build_uncached), workload),
-        ("use_batched_acquire",),
-        protocol, max_schedules, max_steps,
-    )
-
-
-def dense_path_fingerprints(
-    workload: Workload,
-    protocol: str = "herrmann",
-    max_schedules: int = 5000,
-    max_steps: int = 300,
-) -> Dict[str, tuple]:
-    """Explore one workload on the object path vs. the full dense path.
-
-    "Object" is compiled plans acquired one step at a time; "dense" adds
-    batched group acquisition and the dense-ID fast path (interned
-    resources, flat-array plans, int summaries, pooled records).  As
-    with the plan-cache ablation the fingerprints include the lock-trace
-    narrative: the dense representation must replay every request,
-    grant, wait and release event bit-identically, not merely reach the
-    same final states.
-    :func:`assert_ablations_agree` checks the two paths coincide.
-    """
-    return _on_off_fingerprints(
-        "dense-path",
-        (workload, workload),
-        ("use_batched_acquire", "use_dense_path"),
+        (),
         protocol, max_schedules, max_steps,
     )
 
@@ -399,7 +374,6 @@ def differential_check(
     seed: int = 0,
     ablations: bool = True,
     plan_cache: bool = True,
-    dense_path: bool = True,
     sharding: bool = True,
     semantic_modes: bool = True,
 ) -> dict:
@@ -446,12 +420,6 @@ def differential_check(
         )
         summary["plan_cache_schedules"] = assert_ablations_agree(fingerprints)
         summary["plan_cache"] = fingerprints
-    if dense_path and not walks:
-        fingerprints = dense_path_fingerprints(
-            workload, max_schedules=max_schedules, max_steps=max_steps
-        )
-        summary["dense_path_schedules"] = assert_ablations_agree(fingerprints)
-        summary["dense_path"] = fingerprints
     if sharding and not walks:
         fingerprints = sharded_fingerprints(
             workload, max_schedules=max_schedules, max_steps=max_steps

@@ -137,13 +137,7 @@ def cmd_compare(args):
     print("-" * len(header))
     for protocol_cls in PROTOCOLS:
         database, catalog = _build(args)
-        stack = repro.make_stack(
-            database,
-            catalog,
-            protocol_cls=protocol_cls,
-            use_batched_acquire=args.batched_acquire,
-            use_dense_path=args.dense_path,
-        )
+        stack = repro.make_stack(database, catalog, protocol_cls=protocol_cls)
         simulator = Simulator(stack.protocol, lock_cost=0.02, scan_item_cost=0.01)
         submit_workload(simulator, catalog, spec, authorization=stack.authorization)
         metrics = simulator.run()
@@ -182,11 +176,7 @@ def cmd_sweep(args):
         for protocol_cls in (HerrmannProtocol, XSQLProtocol):
             database, catalog = _build(args)
             stack = repro.make_stack(
-                database,
-                catalog,
-                protocol_cls=protocol_cls,
-                use_batched_acquire=args.batched_acquire,
-                use_dense_path=args.dense_path,
+                database, catalog, protocol_cls=protocol_cls
             )
             simulator = Simulator(stack.protocol, lock_cost=0.02)
             submit_workload(
@@ -243,23 +233,11 @@ def build_parser() -> argparse.ArgumentParser:
     )
     trace.set_defaults(func=cmd_trace)
 
-    def ablations(sub):
-        sub.add_argument(
-            "--batched-acquire", dest="batched_acquire", action="store_true",
-            help="acquire each plan's locks as one batched group request",
-        )
-        sub.add_argument(
-            "--dense-path", dest="dense_path", action="store_true",
-            help="run the dense-ID fast path (interned resources, "
-            "flat-array plans, pooled lock table)",
-        )
-
     compare = commands.add_parser("compare", help="simulated protocol comparison")
     compare.add_argument("--transactions", type=int, default=60)
     compare.add_argument("--update-fraction", dest="update_fraction",
                          type=float, default=0.5)
     compare.add_argument("--work-time", dest="work_time", type=float, default=2.0)
-    ablations(compare)
     compare.set_defaults(func=cmd_compare, cells=3)
 
     sweep = commands.add_parser("sweep", help="one axis of the section-5 claim")
@@ -269,7 +247,6 @@ def build_parser() -> argparse.ArgumentParser:
     sweep.add_argument("--update-fraction", dest="update_fraction",
                        type=float, default=0.6)
     sweep.add_argument("--work-time", dest="work_time", type=float, default=2.0)
-    ablations(sweep)
     sweep.set_defaults(func=cmd_sweep, cells=2)
 
     check = commands.add_parser(

@@ -7,7 +7,6 @@ from repro.locking.escalation import (
     descendants_held,
     parent_resource,
 )
-from repro.locking.dense import DenseLockTable, DenseSteps
 from repro.locking.lock_table import LockRequest, LockTable, RequestStatus
 from repro.locking.manager import LockManager, ThreadedLockManager
 from repro.locking.trace import LockTrace, TraceEvent
@@ -37,8 +36,6 @@ __all__ = [
     "ALL_MODES",
     "AP",
     "DeadlockDetector",
-    "DenseLockTable",
-    "DenseSteps",
     "Escalator",
     "IAP",
     "IINC",

@@ -373,7 +373,7 @@ class LockTable:
                 "lock.enqueue", txn=txn, resource=resource, mode=mode
             )
         if entry is None:
-            entry = self._entries[resource] = self._new_entry(resource)
+            entry = self._entries[resource] = _ResourceEntry()
             if len(self._entries) > self.max_entries:
                 self.max_entries = len(self._entries)
             request = LockRequest(txn, resource, mode, mode, long, False)
@@ -508,7 +508,6 @@ class LockTable:
             else:
                 del entry.granted[txn]
                 entry.held -= HELD_UNIT[held.code]
-                self._retire_held(held)
             entry.version += 1
             self.wait_graph_version += 1
         if entry.conversions or entry.queue:
@@ -517,7 +516,6 @@ class LockTable:
             woken.extend(self._process_queue(entry))
         if not (entry.granted or entry.conversions or entry.queue):
             del self._entries[resource]
-            self._retire_entry(resource, entry)
 
     def cancel(self, request: LockRequest) -> List[LockRequest]:
         """Withdraw a waiting request (deadlock victim / timeout)."""
@@ -804,20 +802,7 @@ class LockTable:
                 break
         return examined
 
-    # -- allocation and summary hooks (overridden by the dense table) --------
-
-    def _new_entry(self, resource) -> _ResourceEntry:
-        return _ResourceEntry()
-
-    def _retire_entry(self, resource, entry: _ResourceEntry):
-        """``entry`` left the table (guaranteed empty)."""
-
-    def _new_held(self, mode: LockMode, long: bool) -> _HeldLock:
-        """A holder record already granted ``mode``."""
-        return _HeldLock(mode, long)
-
-    def _retire_held(self, held: _HeldLock):
-        """``held`` left its entry's granted map."""
+    # -- held-mode summary writes --------------------------------------------
 
     def _summary_set(self, txn, resource, mode: LockMode):
         modes = self._txn_modes.get(txn)
@@ -851,7 +836,6 @@ class LockTable:
             if not owned:
                 del self._txn_resources[txn]
         self._summary_drop(txn, resource)
-        self._retire_held(held)
 
     def _grant(self, entry, request: LockRequest, held: Optional[_HeldLock]):
         """Grant ``request``; ``held`` is its txn's record on ``entry``
@@ -860,7 +844,7 @@ class LockTable:
         resource = request.resource
         mode = request.mode
         if held is None:
-            held = entry.granted[txn] = self._new_held(mode, request.long)
+            held = entry.granted[txn] = _HeldLock(mode, request.long)
             entry.held += HELD_UNIT[mode.code]
         else:
             before = held.code
@@ -931,5 +915,4 @@ class LockTable:
 
     def _drop_if_empty(self, resource, entry):
         if entry.empty():
-            if self._entries.pop(resource, None) is not None:
-                self._retire_entry(resource, entry)
+            self._entries.pop(resource, None)

@@ -34,23 +34,8 @@ class LockManager:
     manager; the per-granule rules live there, the bookkeeping lives here.
     """
 
-    def __init__(
-        self,
-        age_of=None,
-        reader_bypass: bool = False,
-        use_dense_path: bool = False,
-        pool_records: bool = True,
-    ):
-        if use_dense_path:
-            from repro.locking.dense import DenseLockTable
-
-            self.table: LockTable = DenseLockTable(
-                reader_bypass=reader_bypass, pool_records=pool_records
-            )
-        else:
-            self.table = LockTable(reader_bypass=reader_bypass)
-        #: ablation flag: the table above is the int-indexed pooled one
-        self.use_dense_path = use_dense_path
+    def __init__(self, age_of=None, reader_bypass: bool = False):
+        self.table = LockTable(reader_bypass=reader_bypass)
         self.detector = DeadlockDetector(self.table, age_of=age_of)
 
     def set_age_of(self, age_of) -> "LockManager":

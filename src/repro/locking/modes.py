@@ -315,22 +315,14 @@ N_MODES = len(_MODE_ORDER)
 #: Inverse of ``.code``: ``MODES_BY_CODE[mode.code] is mode``.
 MODES_BY_CODE = _MODE_ORDER
 
-# Flat single-subscript variants of the tables above, row-major
-# ``[a.code * N_MODES + b.code]``.  The dense lock path works on raw int
-# codes (no enum members in hand at all), so one bytes subscript replaces
-# the attribute load + two nested list subscripts of the functions below.
+# Flat single-subscript compatibility, row-major ``[a.code * N_MODES +
+# b.code]``: code that holds raw int codes (the lock table's waits-for
+# scans, the wire matrix) tests a pair with one bytes subscript instead
+# of the attribute load + two nested list subscripts of ``compatible``.
 COMPAT_FLAT = bytes(
     1 if _COMPAT_TABLE[a][b] else 0
     for a in range(N_MODES)
     for b in range(N_MODES)
-)
-COVERS_FLAT = bytes(
-    1 if _COVERS_TABLE[a][b] else 0
-    for a in range(N_MODES)
-    for b in range(N_MODES)
-)
-SUP_FLAT = bytes(
-    _SUP_TABLE[a][b].code for a in range(N_MODES) for b in range(N_MODES)
 )
 
 # The *group mode* of a resource entry: how many transactions hold it in
@@ -390,9 +382,9 @@ def supremum_naive(a: LockMode, b: LockMode) -> LockMode:
 def covers_naive(held: LockMode, required: LockMode) -> bool:
     """Dict-backed "at least as restrictive" test (ablation path).
 
-    Defined, like the dense table, as ``supremum(held, required) is held``
-    — the differential harness swaps this in for :func:`covers` to prove
-    the int-indexed tables change nothing observable.
+    Defined, like the int-indexed table, as ``supremum(held, required) is
+    held`` — the differential harness swaps this in for :func:`covers` to
+    prove the int-indexed tables change nothing observable.
     """
     return _SUPREMUM[(held, required)] is held
 

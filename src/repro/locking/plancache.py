@@ -29,7 +29,7 @@ from typing import Dict, Optional, Tuple
 class CompiledPlan:
     """One cached demand expansion: a reusable tuple of planned steps."""
 
-    __slots__ = ("key", "stamp", "steps", "hits", "dense")
+    __slots__ = ("key", "stamp", "steps", "hits")
 
     def __init__(self, key, stamp, steps):
         self.key = key
@@ -39,12 +39,6 @@ class CompiledPlan:
         #: every transaction that replays this demand — treat as immutable
         self.steps = steps
         self.hits = 0
-        #: dense-path recompile of ``steps``: parallel flat arrays
-        #: ``(resource-ids, mode codes, propagate flags)``, attached
-        #: lazily on first dense execution.  Interner ids are never
-        #: reassigned, so the arrays stay valid for this plan's lifetime;
-        #: stamp invalidation evicts plan and arrays together.
-        self.dense = None
 
     def __repr__(self):
         return "CompiledPlan(%r, stamp=%r, %d steps, %d hits)" % (
@@ -83,12 +77,6 @@ class PlanCache:
 
     def lookup(self, key: tuple, stamp: tuple) -> Optional[Tuple]:
         """Return the cached steps for ``key`` at ``stamp``, or None."""
-        plan = self.lookup_plan(key, stamp)
-        return None if plan is None else plan.steps
-
-    def lookup_plan(self, key: tuple, stamp: tuple) -> Optional[CompiledPlan]:
-        """Like :meth:`lookup` but returns the :class:`CompiledPlan`
-        record itself — the dense path hangs its flat arrays off it."""
         plan = self._plans.get(key)
         if plan is None:
             self.misses += 1
@@ -101,7 +89,7 @@ class PlanCache:
             return None
         self.hits += 1
         plan.hits += 1
-        return plan
+        return plan.steps
 
     def store(self, key: tuple, stamp: tuple, steps: Tuple) -> CompiledPlan:
         plan = CompiledPlan(key, stamp, steps)

@@ -40,24 +40,24 @@ class SurrogateGenerator:
 class ResourceInterner:
     """Bijective map from resources/surrogates to dense integer ids.
 
-    The dense lock path replaces resource tuples (and surrogate strings)
-    with small ints so lock plans become flat arrays and the held-mode
-    summary becomes an int-keyed dict.  The contract callers rely on:
+    Two users speak in these ids: the sharded lock manager routes a
+    resource to ``id % n_shards`` (:mod:`repro.service.sharded`), and the
+    binary wire protocol names resources by id instead of by path
+    (:mod:`repro.service.server`).  The contract both rely on:
 
     * an id, once assigned, is **never reused or reassigned** — the
-      mapping only grows, so compiled dense plans stay valid for the
-      interner's whole lifetime and round-trip ``intern``/``resource_of``
-      is stable across arbitrary insert/delete/replace/undo traffic
-      (deleted objects keep their id; a re-inserted object gets a fresh
-      surrogate and therefore a fresh resource tuple and a fresh id);
-    * ``version`` is bumped exactly on growth, mirroring the database
-      structure version the plan-stamp invalidation of the plan cache is
-      built on — consumers that snapshot derived state can detect new
-      registrations with one int compare.
+      mapping only grows, so a resource's shard and its wire id stay
+      fixed for the interner's whole lifetime and round-trip
+      ``intern``/``resource_of`` is stable across arbitrary
+      insert/delete/replace/undo traffic (deleted objects keep their id;
+      a re-inserted object gets a fresh surrogate and therefore a fresh
+      resource tuple and a fresh id);
+    * ``version`` is bumped exactly on growth — consumers that snapshot
+      derived state can detect new registrations with one int compare.
 
     Ids are assigned lazily at first touch ("registration time"): the
-    dense lock table interns on entry creation and summary writes, the
-    protocol interns when densifying a compiled plan.
+    shard router interns a resource the first time it is locked, the
+    server registers the database's resources when it starts.
     """
 
     __slots__ = ("_ids", "_resources", "version")

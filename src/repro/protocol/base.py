@@ -20,16 +20,12 @@ fixes with downward propagation.
 
 from __future__ import annotations
 
-from array import array
 from typing import List, Tuple
 
 from repro.errors import ProtocolError
 from repro.graphs.units import UnitMap, ancestors
-from repro.locking.dense import DenseLockTable, DenseSteps, core
 from repro.locking.manager import LockManager
 from repro.locking.modes import (
-    COVERS_FLAT,
-    N_MODES,
     IS,
     IX,
     S,
@@ -83,58 +79,6 @@ class LockPlan:
         return "LockPlan(%r)" % (self.steps,)
 
 
-#: reasons marking steps that exist only because of implicit propagation
-#: (rules 3/4/4' downward, superunit upward) — recorded as the third flat
-#: array of a densified plan so dense consumers can distinguish them
-PROPAGATION_REASONS = frozenset(("downward", "downward-path", "upward"))
-
-
-class DenseLockPlan:
-    """A filtered plan addressed by index into its compiled dense arrays.
-
-    Built by the dense branch of :meth:`ProtocolBase.filter_plan`:
-    ``keep`` indexes the surviving steps of the cached merged tuple.  The
-    object-plan API (iteration over :class:`PlannedLock`, ``len``,
-    ``resources``) materializes lazily from the shared merged steps — the
-    simulator, scheduler and trace wrappers see exactly the objects the
-    object path would hand them.  :meth:`dense_steps` exposes the same
-    selection as int arrays for the batched dense table pass, copy-free.
-    """
-
-    __slots__ = ("_rids", "_codes", "_keep", "_interner", "_merged", "_steps")
-
-    def __init__(self, rids, codes, keep, interner, merged):
-        self._rids = rids
-        self._codes = codes
-        self._keep = keep
-        self._interner = interner
-        self._merged = merged
-        self._steps = None
-
-    @property
-    def steps(self) -> List[PlannedLock]:
-        if self._steps is None:
-            merged = self._merged
-            self._steps = [merged[i] for i in self._keep]
-        return self._steps
-
-    def __iter__(self):
-        return iter(self.steps)
-
-    def __len__(self):
-        return len(self._keep)
-
-    def resources(self) -> List[Tuple]:
-        merged = self._merged
-        return [merged[i].resource for i in self._keep]
-
-    def dense_steps(self) -> DenseSteps:
-        return DenseSteps(self._rids, self._codes, self._interner, self._keep)
-
-    def __repr__(self):
-        return "DenseLockPlan(%r)" % (self.steps,)
-
-
 class ProtocolBase:
     """Shared services: plan execution, implicit-lock checks, metrics."""
 
@@ -152,8 +96,6 @@ class ProtocolBase:
         manager: LockManager,
         catalog,
         authorization=None,
-        use_batched_acquire: bool = False,
-        use_dense_path: bool = False,
         use_semantic_modes: bool = False,
     ):
         self.manager = manager
@@ -164,27 +106,11 @@ class ProtocolBase:
         #: (SI/AP/INC and their intentions).  Off by default: the classic
         #: protocol must be bit-identical to the pre-extension behaviour.
         self.use_semantic_modes = use_semantic_modes
-        #: ablation flag: submit whole plans to the lock table in one pass
-        self.use_batched_acquire = use_batched_acquire
-        #: ablation flag: filter and execute compiled plans as flat int
-        #: arrays against the dense lock table (implies batched
-        #: submission of the dense plan; falls back to the object path
-        #: for uncacheable protocols or a non-dense table)
-        self.use_dense_path = use_dense_path
         #: compiled demand expansions, stamped by the database structure
         #: / authorization versions — the one planning path
         self.plan_cache = PlanCache()
         #: the last plan_stamp(), shared by every plan compiled against it
         self._stamp = (None, None)
-        self._dense_table = (
-            manager.table
-            if use_dense_path and isinstance(manager.table, DenseLockTable)
-            else None
-        )
-        #: the CompiledPlan the most recent compiled_steps() call resolved
-        #: — filter_plan pairs it with its merged tuple by identity, so a
-        #: stale value (demand aborted mid-planning) is never misused
-        self._active_plan = None
         #: optional :class:`repro.faults.FaultInjector`; fires the
         #: ``plan.expand`` point on every demand's plan filtering and
         #: ``plan.execute`` before the plan's lock requests are submitted
@@ -230,28 +156,6 @@ class ProtocolBase:
             # before any step is submitted: a raise here aborts the demand
             # with no partially acquired prefix at all
             self.fault_injector.fire("plan.execute", txn=txn, steps=len(plan))
-        if isinstance(plan, DenseLockPlan):
-            # The dense pass subsumes batching: the selection is handed to
-            # the table as int arrays (copy-free) and pruned/granted in one
-            # traversal over the int summary and flat mode tables.
-            granted = self.manager.acquire_many(
-                txn, plan.dense_steps(), long=long, wait=wait
-            )
-            self.locks_requested += len(granted)
-            return granted
-        if self.use_batched_acquire:
-            # One table pass for the whole plan: covered steps are pruned
-            # against the per-transaction held-mode summary, the compatible
-            # prefix is granted in a single traversal, and at most the last
-            # returned request is WAITING (one deadlock check per demand).
-            granted = self.manager.acquire_many(
-                txn,
-                [(step.resource, step.mode) for step in plan],
-                long=long,
-                wait=wait,
-            )
-            self.locks_requested += len(granted)
-            return granted
         granted = []
         for step in plan:
             self.locks_requested += 1
@@ -410,28 +314,6 @@ class ProtocolBase:
             # mid-propagation: the demand is expanded and merged but not
             # yet turned into lock requests — nothing to clean up on raise
             self.fault_injector.fire("plan.expand", txn=txn, steps=len(merged))
-        table = self._dense_table
-        compiled = self._active_plan
-        if (
-            table is not None
-            and compiled is not None
-            and compiled.steps is merged
-        ):
-            # Dense branch: one flat int pass over the plan's compiled
-            # arrays against the int-keyed held summary — no tuple hashes,
-            # no enum members, no per-step allocation.  Same survivors as
-            # the holds_at_least loop below (the summaries are twins).
-            dense = compiled.dense
-            if dense is None:
-                dense = compiled.dense = self._dense_arrays(merged)
-            keep = core.filter_uncovered(
-                dense[0],
-                dense[1],
-                table.dense_summary(txn),
-                COVERS_FLAT,
-                N_MODES,
-            )
-            return DenseLockPlan(dense[0], dense[1], keep, table.interner, merged)
         holds_at_least = self.manager.holds_at_least
         return LockPlan(
             [
@@ -440,26 +322,6 @@ class ProtocolBase:
                 if not holds_at_least(txn, step.resource, step.mode)
             ]
         )
-
-    def _dense_arrays(self, merged) -> tuple:
-        """Recompile merged steps into parallel flat arrays.
-
-        Returns ``(resource-ids, mode codes, propagate flags)`` — ids from
-        the dense table's interner (registration on first compile), codes
-        from the stamped enum members, flags marking propagation-origin
-        steps (:data:`PROPAGATION_REASONS`).
-        """
-        interner = self._dense_table.interner
-        rids = array("q", (interner.intern(step.resource) for step in merged))
-        codes = array("b", (step.mode.code for step in merged))
-        flags = array(
-            "b",
-            (
-                1 if step.reason in PROPAGATION_REASONS else 0
-                for step in merged
-            ),
-        )
-        return (rids, codes, flags)
 
     def compiled_steps(self, key: tuple, build) -> Tuple[PlannedLock, ...]:
         """Merged steps for a demand, via the plan cache.
@@ -471,14 +333,12 @@ class ProtocolBase:
         build.
         """
         if not self.plan_cacheable:
-            self._active_plan = None
             return build()
         stamp = self.plan_stamp()
-        plan = self.plan_cache.lookup_plan(key, stamp)
-        if plan is None:
-            plan = self.plan_cache.store(key, stamp, build())
-        self._active_plan = plan
-        return plan.steps
+        steps = self.plan_cache.lookup(key, stamp)
+        if steps is None:
+            steps = self.plan_cache.store(key, stamp, build()).steps
+        return steps
 
     def plan_stamp(self) -> tuple:
         """Version stamp of every world state compiled plans depend on.
@@ -515,8 +375,6 @@ class ProtocolBase:
                 if self.demands
                 else 0.0
             ),
-            "use_batched_acquire": self.use_batched_acquire,
-            "use_dense_path": self.use_dense_path,
             "use_semantic_modes": self.use_semantic_modes,
             "summary_rebuilds": self.manager.table.summary_rebuilds,
         }

@@ -257,32 +257,11 @@ class _AggregateTable:
                 )
             manager._note_granted(request)
 
-    # -- dense-mode mirrors (present only when the shards are dense) ---------
-
-    def dense_summary(self, txn) -> Optional[Dict[int, int]]:
-        """Merged int-keyed held-mode summary (dense shards only)."""
-        merged: Dict[int, int] = {}
-        for shard in self._shards:
-            codes = getattr(shard, "_txn_codes", {}).get(txn)
-            if codes:
-                merged.update(codes)
-        return merged or None
-
-    @property
-    def _txn_codes(self) -> Dict[object, Dict[int, int]]:
-        merged: Dict[object, Dict[int, int]] = {}
-        for shard in self._shards:
-            for txn, codes in getattr(shard, "_txn_codes", {}).items():
-                merged.setdefault(txn, {}).update(codes)
-        return merged
-
 
 class ShardedLockManager:
     """N shard lock tables behind the :class:`LockManager` call surface.
 
-    ``shards`` are plain :class:`LockTable` instances (or
-    :class:`~repro.locking.dense.DenseLockTable` sharing the router
-    interner when ``use_dense_path``); ``table`` is the
+    ``shards`` are plain :class:`LockTable` instances; ``table`` is the
     :class:`_AggregateTable` facade the rest of the library introspects,
     and ``detector`` is the stock deadlock detector running over that
     facade's union waits-for graph.
@@ -293,8 +272,6 @@ class ShardedLockManager:
         n_shards: int = 4,
         age_of=None,
         reader_bypass: bool = False,
-        use_dense_path: bool = False,
-        pool_records: bool = True,
         router: Optional[ResourceInterner] = None,
     ):
         if n_shards < 1:
@@ -303,35 +280,16 @@ class ShardedLockManager:
         #: ``shard_of`` is a pure, growth-stable function of the resource
         self.router = router if router is not None else ResourceInterner()
         self.n_shards = n_shards
-        if use_dense_path:
-            from repro.locking.dense import DenseLockTable
-
-            # dense shards share the router: plan ids and shard routing
-            # speak the same id space
-            self.shards: List[LockTable] = [
-                DenseLockTable(
-                    reader_bypass=reader_bypass,
-                    interner=self.router,
-                    pool_records=pool_records,
-                )
-                for _ in range(n_shards)
-            ]
-        else:
-            self.shards = [
-                LockTable(reader_bypass=reader_bypass)
-                for _ in range(n_shards)
-            ]
+        self.shards = [
+            LockTable(reader_bypass=reader_bypass) for _ in range(n_shards)
+        ]
         # one enqueue sequence for all shards: it orders a transaction's
         # waits across shards as one table's sequence would
         enqueue_seq = self.shards[0]._enqueue_seq
         for shard in self.shards:
             shard._enqueue_seq = enqueue_seq
-        self.use_dense_path = use_dense_path
         self._fault_injector = None
         self.table = _AggregateTable(self)
-        if use_dense_path:
-            # the dense-state audit gates on ``table.interner``
-            self.table.interner = self.router
         self.detector = DeadlockDetector(self.table, age_of=age_of)
         #: txn -> {resource: None}: global first-grant order across all
         #: shards — the walk order of :meth:`release_all`, which is what

@@ -22,10 +22,10 @@ upgrade (the text protocol stays as the debug/fallback path):
   complete out of order — the id, not the position, names the request.
 
 Resources travel as **dense interned ids** — the same append-only
-:class:`~repro.nf2.surrogate.ResourceInterner` codes the PR 5 fast path
-and the shard router use — so the hot path never re-parses a path
-string.  Clients learn the id table with ``OP_RESOURCES`` after the
-upgrade and extend it on demand with ``OP_INTERN``.
+:class:`~repro.nf2.surrogate.ResourceInterner` codes the shard router
+uses — so the hot path never re-parses a path string.  Clients learn
+the id table with ``OP_RESOURCES`` after the upgrade and extend it on
+demand with ``OP_INTERN``.
 
 Request opcodes (client -> server)::
 

@@ -50,8 +50,9 @@ class SimulationMetrics:
         self.plan_cache_hits = 0
         self.plan_cache_misses = 0
         self.plan_cache_invalidations = 0
-        #: held-mode summary refetches forced mid-batch by grants
-        #: (0 when nothing batches; see LockTable.request_many)
+        #: held-mode summary refetches forced mid-batch by grants; only
+        #: the served path batches (LockTable.request_many), and the
+        #: simulator executes plans step by step, so this stays 0
         self.summary_rebuilds = 0
 
     # -- recording -------------------------------------------------------------

@@ -14,16 +14,13 @@ every violation of the invariants the paper's correctness rests on:
    exactly the from-the-side hazard of section 3.2.2);
 4. **waiting consistency** — no waiting request could actually be granted
    (no lost wakeups);
-5. **dense-state consistency** — when the manager runs the dense-ID fast
-   path, the interner must stay bijective and the int-keyed held-mode
-   summary must mirror the authoritative object-keyed one exactly;
-6. **deadlock verdict** — while the wait graph has not moved since the
+5. **deadlock verdict** — while the wait graph has not moved since the
    detector last answered "acyclic" (possibly from a search rooted at one
    waiter), the reference full pass must find no cycle either;
-7. **group mode** — every resource entry's packed per-mode holder counts
+6. **group mode** — every resource entry's packed per-mode holder counts
    (what the lock table decides grants from) equal a recount of its
-   holders, and a pooled entry counts nobody;
-8. **held index** — the per-transaction indexes the grant and release
+   holders;
+7. **held index** — the per-transaction indexes the grant and release
    fast paths maintain inline (held-mode summary, owned resources in
    first-grant order, waiting requests in enqueue order) agree with the
    entries, and no empty entry stays in the table.
@@ -84,7 +81,6 @@ def audit(protocol) -> List[Violation]:
     violations.extend(check_intention_chains(protocol))
     violations.extend(check_entry_point_visibility(protocol))
     violations.extend(check_waiting_consistency(protocol.manager))
-    violations.extend(check_dense_state(protocol.manager))
     violations.extend(check_deadlock_verdict(protocol.manager))
     violations.extend(check_group_mode(protocol.manager))
     violations.extend(check_held_index(protocol.manager))
@@ -105,7 +101,6 @@ STEP_CHECKS = {
     "waiting-consistency": lambda protocol: check_waiting_consistency(
         protocol.manager
     ),
-    "dense-state": lambda protocol: check_dense_state(protocol.manager),
     "deadlock-verdict": lambda protocol: check_deadlock_verdict(
         protocol.manager
     ),
@@ -329,72 +324,6 @@ def check_entry_point_visibility(protocol) -> List[Violation]:
     return out
 
 
-def check_dense_state(manager) -> List[Violation]:
-    """Dense mirror audit: interner bijectivity, summary agreement.
-
-    A no-op for the plain object-path table.  On a dense table the
-    object-keyed structures are authoritative; this check proves the
-    int-keyed shadow state has not drifted: every interned id maps back
-    to the resource that produced it, and the per-transaction code
-    summary agrees entry-for-entry with the object-keyed mode summary.
-    """
-    out: List[Violation] = []
-    table = manager.table
-    interner = getattr(table, "interner", None)
-    if interner is None:
-        return out
-    for rid, resource in interner.items():
-        back = interner.resource_of(rid)
-        if back != resource:
-            out.append(
-                Violation(
-                    "dense-state",
-                    None,
-                    resource,
-                    "interner not bijective: id %d maps back to %r"
-                    % (rid, back),
-                )
-            )
-    for txn, modes_by_resource in table._txn_modes.items():
-        codes = table.dense_summary(txn) or {}
-        expected = {}
-        for resource, mode in modes_by_resource.items():
-            rid = interner.id_of(resource)
-            if rid is None:
-                out.append(
-                    Violation(
-                        "dense-state",
-                        txn,
-                        resource,
-                        "held resource was never interned",
-                    )
-                )
-                continue
-            expected[rid] = mode.code
-        if expected != codes:
-            out.append(
-                Violation(
-                    "dense-state",
-                    txn,
-                    None,
-                    "dense summary diverges from object summary: "
-                    "dense=%r expected=%r" % (codes, expected),
-                )
-            )
-    for txn in getattr(table, "_txn_codes", {}):
-        if txn not in table._txn_modes:
-            out.append(
-                Violation(
-                    "dense-state",
-                    txn,
-                    None,
-                    "dense summary has entries for a transaction with no "
-                    "object summary",
-                )
-            )
-    return out
-
-
 def check_waiting_consistency(manager) -> List[Violation]:
     """No waiting request may be grantable (lost-wakeup detector)."""
     out = []
@@ -451,8 +380,7 @@ def check_group_mode(manager) -> List[Violation]:
     The lock table answers "is this mode compatible with every holder?"
     from ``entry.held`` alone, so a count that drifted from
     ``entry.granted`` is a wrong grant waiting to happen.  Walks the real
-    tables behind the manager (its shards, or its one table) and their
-    entry freelists: a pooled entry is handed out as empty.
+    tables behind the manager (its shards, or its one table).
     """
     out: List[Violation] = []
     for table in getattr(manager, "shards", None) or [manager.table]:
@@ -466,16 +394,6 @@ def check_group_mode(manager) -> List[Violation]:
                         resource,
                         "packed holder counts %#x, holders recount to %#x"
                         % (entry.held, recount),
-                    )
-                )
-        for entry in getattr(table, "_entry_pool", ()):
-            if entry.held:
-                out.append(
-                    Violation(
-                        "group-mode",
-                        None,
-                        None,
-                        "pooled entry still counts holders: %#x" % entry.held,
                     )
                 )
     return out

@@ -1,5 +1,5 @@
 """The one-step uncontended lifecycle: fresh-entry grants and one-pass EOT
-release, on the single table, the dense table and the sharded manager —
+release, on the single table and the sharded manager —
 pinned scenarios, then a differential over random scripts.
 
 EOT release walks the transaction's grants in first-grant order, then the
@@ -12,7 +12,6 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.errors import LockConflictError, LockError
-from repro.locking.dense import DenseLockTable
 from repro.locking.lock_table import LockTable, RequestStatus
 from repro.locking.modes import CLASSIC_MODES, IS, IX, S, X
 from repro.service.sharded import ShardedLockManager
@@ -42,7 +41,6 @@ def _sharded():
 
 FRONTS = {
     "object": lambda: _TableFront(LockTable()),
-    "dense": lambda: _TableFront(DenseLockTable()),
     "sharded": _sharded,
 }
 
@@ -157,11 +155,11 @@ class _RaiseOn:
             raise RuntimeError(point)
 
 
-@pytest.mark.parametrize("kind", ["object", "dense"])
+@pytest.mark.parametrize("kind", ["object"])
 def test_enqueue_fault_fires_before_the_entry_exists(kind):
     """``lock.enqueue`` fires before any state change, the fresh entry's
     creation included: a raise leaves no empty entry behind."""
-    table = LockTable() if kind == "object" else DenseLockTable()
+    table = LockTable()
     table.fault_injector = _RaiseOn("lock.enqueue")
     with pytest.raises(RuntimeError):
         table.request("t", R1, X)
@@ -170,7 +168,7 @@ def test_enqueue_fault_fires_before_the_entry_exists(kind):
     assert check_held_index(_TableFront(table)) == []
 
 
-# -- differential: random scripts against all three ---------------------------
+# -- differential: random scripts against both ---------------------------------
 
 RESOURCES = [("db",), ("db", "a"), ("db", "a", "o1"), ("db", "b"), ("db", "b", "o2")]
 TXNS = ["t%d" % i for i in range(4)]
@@ -254,26 +252,21 @@ def _observed(front):
 @settings(max_examples=200, deadline=None)
 def test_tables_and_sharded_manager_agree(script, routing):
     """Same outcomes, wake lists (in order), counters, holders, waits and
-    waits-for edges on ``LockTable``, ``DenseLockTable`` and a 3-shard
-    manager, with the ``held-index`` audit clean after every step."""
+    waits-for edges on ``LockTable`` and a 3-shard manager, with the
+    ``held-index`` audit clean after every step."""
     plain = _TableFront(LockTable())
-    dense = _TableFront(DenseLockTable())
     sharded = ShardedLockManager(n_shards=3)
     for resource in routing:  # vary which shard owns which resource
         sharded.shard_table(resource)
-    fronts = (plain, dense, sharded)
+    fronts = (plain, sharded)
     waiting = {id(front): [] for front in fronts}
     peak = 0  # the sharded facade sums per-shard high-water marks
     for op in script:
         results = [_apply(front, op, waiting[id(front)]) for front in fronts]
         assert results[1] == results[0], op
-        assert results[2] == results[0], op
         states = [_observed(front) for front in fronts]
         assert states[1] == states[0], op
-        assert states[2] == states[0], op
-        assert plain.table.waits_for_edges() == dense.table.waits_for_edges()
-        assert dense.table.max_entries == plain.table.max_entries
-        peak = max(peak, states[2]["entries"])
+        peak = max(peak, states[1]["entries"])
         assert peak == plain.table.max_entries
         for front in fronts:
             _audit(front)

@@ -19,7 +19,6 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.locking.dense import DenseLockTable
 from repro.locking.lock_table import LockTable
 from repro.locking.modes import (
     CLASSIC_MODES,
@@ -35,7 +34,7 @@ from repro.verify import check_group_mode
 RESOURCES = [("db",), ("db", "rel"), ("db", "rel", "o1")]
 TXNS = ["t%d" % i for i in range(4)]
 
-TABLES = {"object": LockTable, "dense": DenseLockTable}
+TABLES = {"object": LockTable}
 
 # (kind, txn index, resource index, mode index, long / keep_long)
 STEPS = st.lists(

@@ -8,25 +8,19 @@ algebraic contract the rest of the system leans on:
 * the supremum is a join: idempotent, commutative, associative, with X
   as top, and ``covers`` is exactly its induced partial order;
 * the three implementations — naive dict twins, the object-keyed
-  tables and the row-major flat byte tables the ``_densecore`` kernels
-  index — agree on every one of the 121 mode pairs;
+  tables and the row-major flat compatibility table the lock table and
+  the wire matrix index — agree on every one of the 121 mode pairs;
 * the classic 5x5 block is bit-identical to the hand-written GLPT76
   matrix (the flag-off ablation depends on this).
 
-Exhaustive 11x11(x11) enumeration is cheap, so most laws are checked
-over every pair/triple; Hypothesis drives the kernel-level agreement
-over random codes and held summaries.
+Exhaustive 11x11(x11) enumeration is cheap, so every law is checked
+over every pair/triple.
 """
 
-from hypothesis import given
-from hypothesis import strategies as st
-
-from repro.locking import _densecore
 from repro.locking.modes import (
     AP,
     CLASSIC_MODES,
     COMPAT_FLAT,
-    COVERS_FLAT,
     EXTENDED_MODES,
     IAP,
     IINC,
@@ -40,7 +34,6 @@ from repro.locking.modes import (
     SEMANTIC_MODES,
     SI,
     SIX,
-    SUP_FLAT,
     X,
     compatible,
     compatible_naive,
@@ -51,8 +44,6 @@ from repro.locking.modes import (
     supremum,
     supremum_naive,
 )
-
-mode_codes = st.integers(0, N_MODES - 1)
 
 
 class TestExtendedCompatibility:
@@ -201,12 +192,10 @@ class TestOpClassCommutativity:
 
 
 class TestTableAgreement:
-    """Naive twins, object tables and flat byte tables never drift."""
+    """Naive twins, object tables and the flat byte table never drift."""
 
     def test_flat_tables_cover_all_pairs(self):
         assert len(COMPAT_FLAT) == N_MODES * N_MODES
-        assert len(COVERS_FLAT) == N_MODES * N_MODES
-        assert len(SUP_FLAT) == N_MODES * N_MODES
 
     def test_exhaustive_three_way_agreement(self):
         for a in EXTENDED_MODES:
@@ -215,9 +204,7 @@ class TestTableAgreement:
                 assert compatible(a, b) == compatible_naive(a, b)
                 assert bool(COMPAT_FLAT[flat]) == compatible(a, b)
                 assert covers(a, b) == covers_naive(a, b)
-                assert bool(COVERS_FLAT[flat]) == covers(a, b)
                 assert supremum(a, b) is supremum_naive(a, b)
-                assert MODES_BY_CODE[SUP_FLAT[flat]] is supremum(a, b)
 
     def test_codes_are_stable(self):
         # wire golden pins depend on the classic codes never moving and
@@ -226,41 +213,3 @@ class TestTableAgreement:
         assert [m.code for m in SEMANTIC_MODES] == [5, 6, 7, 8, 9, 10]
         for code, mode in enumerate(MODES_BY_CODE):
             assert mode.code == code
-
-    @given(mode_codes, mode_codes)
-    def test_kernel_supremum_matches(self, a, b):
-        code = _densecore.supremum_code(a, b, SUP_FLAT, N_MODES)
-        assert MODES_BY_CODE[code] is supremum(
-            MODES_BY_CODE[a], MODES_BY_CODE[b]
-        )
-
-    @given(st.lists(mode_codes, max_size=8), mode_codes)
-    def test_kernel_count_compatible_matches(self, held, target):
-        count = _densecore.count_compatible(
-            held, target, COMPAT_FLAT, N_MODES
-        )
-        expected = len(held)
-        for i, code in enumerate(held):
-            if not compatible(MODES_BY_CODE[code], MODES_BY_CODE[target]):
-                expected = i
-                break
-        assert count == expected
-
-    @given(
-        st.lists(st.tuples(st.integers(0, 15), mode_codes), max_size=8),
-        st.none() | st.dictionaries(st.integers(0, 15), mode_codes, max_size=8),
-    )
-    def test_kernel_filter_uncovered_matches(self, plan, held):
-        rids = [rid for rid, _ in plan]
-        codes = [code for _, code in plan]
-        keep = _densecore.filter_uncovered(
-            rids, codes, held, COVERS_FLAT, N_MODES
-        )
-        expected = []
-        for i, (rid, code) in enumerate(plan):
-            held_code = -1 if held is None else held.get(rid, -1)
-            if held_code < 0 or not covers(
-                MODES_BY_CODE[held_code], MODES_BY_CODE[code]
-            ):
-                expected.append(i)
-        assert keep == expected

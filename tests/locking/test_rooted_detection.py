@@ -28,7 +28,6 @@ TXNS = ["t%d" % i for i in range(5)]
 
 MANAGERS = {
     "single": lambda bypass: LockManager(reader_bypass=bypass),
-    "dense": lambda bypass: LockManager(reader_bypass=bypass, use_dense_path=True),
     "sharded": lambda bypass: ShardedLockManager(n_shards=3, reader_bypass=bypass),
 }
 

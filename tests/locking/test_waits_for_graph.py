@@ -4,7 +4,7 @@
 per-entry blockers memo, and ``first_cycle`` searches it; the reference is
 ``reference_edges`` (the edges from the definition, no memo) turned into
 nodes and adjacency here, and a textbook recursive search over it.  The
-differential drives the single, dense and 3-shard managers through
+differential drives the single and 3-shard managers through
 requests, conversions, releases, cancels and aborts, with and without
 ``reader_bypass``, under two disciplines: on-wait (one outstanding request
 per transaction) and served (a waiting transaction goes on requesting, so

@@ -281,17 +281,19 @@ class TestCacheabilityAndMetrics:
         assert (stats["plan_cache_misses"], stats["plan_cache_hits"]) == (1, 1)
 
     def test_plan_cache_is_not_an_option(self):
-        with pytest.raises(TypeError):
-            repro.make_stack(
-                *build_cells_database(figure7=True), use_plan_cache=True
-            )
+        for option in (
+            "use_plan_cache", "use_dense_path", "use_batched_acquire"
+        ):
+            with pytest.raises(TypeError):
+                repro.make_stack(
+                    *build_cells_database(figure7=True), **{option: True}
+                )
 
     def test_protocol_metrics_expose_cache_and_flags(self):
         _, cached = cached_and_plain_stacks()
         cell = object_resource(cached.catalog, "cells", "c1")
         cached.protocol.request(cached.txns.begin(), cell, IS)
         metrics = cached.protocol.metrics()
-        assert metrics["use_batched_acquire"] is False
         assert metrics["demands"] == 1
         assert metrics["locks_per_demand"] == metrics["locks_requested"]
         for key in (
@@ -310,37 +312,6 @@ class TestCacheabilityAndMetrics:
         stats = cached.protocol.plan_cache.stats()
         assert stats["plan_cache_hits"] == stats["plan_cache_misses"] == 0
         assert cached.protocol.demands == 0
-
-
-class TestBatchedExecutionEquivalence:
-    """use_batched_acquire: same grants and held locks as sequential."""
-
-    def test_request_grants_match(self):
-        database, catalog = build_cells_database(figure7=True)
-        seq = repro.make_stack(*build_cells_database(figure7=True))
-        bat = repro.make_stack(
-            database, catalog, use_batched_acquire=True
-        )
-        for stack in (seq, bat):
-            grant_figure7_rights(stack, "u")
-        for relation, key, path, mode in TestCachedPlansMatchUncached.DEMANDS:
-            t_s = seq.txns.begin(principal="u")
-            t_b = bat.txns.begin(principal="u")
-            target_s = object_resource(seq.catalog, relation, key)
-            target_b = object_resource(bat.catalog, relation, key)
-            if path:
-                target_s = component_resource(target_s, parse_path(path))
-                target_b = component_resource(target_b, parse_path(path))
-            granted_s = seq.protocol.request(t_s, target_s, mode)
-            granted_b = bat.protocol.request(t_b, target_b, mode)
-            assert [
-                (req.resource, req.target_mode, req.status) for req in granted_s
-            ] == [
-                (req.resource, req.target_mode, req.status) for req in granted_b
-            ]
-            seq.txns.commit(t_s)
-            bat.txns.commit(t_b)
-        assert seq.manager.table.lock_count() == bat.manager.table.lock_count() == 0
 
 
 class TestHypothesisAbortStampConsistency:
