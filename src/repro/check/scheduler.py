@@ -228,7 +228,7 @@ class ScheduleRun:
                     slot.pending_steps.pop(0)
                     continue
                 slot.waiting_request = request
-                self._resolve_deadlocks(txn)
+                self.manager.detector.resolve(self._on_victim, txn)
                 if slot.outcome is not None:
                     return  # this transaction was the victim
                 request = slot.waiting_request
@@ -268,37 +268,19 @@ class ScheduleRun:
                 _normalize_demand(demand) for demand in op.demands(self, txn)
             ]
 
-    def _resolve_deadlocks(self, waiter):
-        """Break every waits-for cycle the blocking step just closed."""
-        while True:
-            cycle = self.manager.detect_deadlock(waiter)
-            if cycle is None:
-                return
-            victim = self.manager.detector.pick_victim(cycle)
-            names = tuple(getattr(txn, "name", repr(txn)) for txn in cycle)
-            self.deadlocks.append(
-                (self.step_count - 1, getattr(victim, "name", repr(victim)), names)
-            )
-            victim_slot = self._by_txn.get(victim)
-            if victim_slot is None:
-                raise CheckError("deadlock victim %r is not scheduled" % (victim,))
-            self._abort(victim_slot, "deadlock-victim")
+    def _on_victim(self, victim, cycle):
+        """Record the deadlock the blocking step closed, kill the victim."""
+        names = tuple(getattr(txn, "name", repr(txn)) for txn in cycle)
+        self.deadlocks.append(
+            (self.step_count - 1, getattr(victim, "name", repr(victim)), names)
+        )
+        victim_slot = self._by_txn.get(victim)
+        if victim_slot is None:
+            raise CheckError("deadlock victim %r is not scheduled" % (victim,))
+        self._abort(victim_slot, "deadlock-victim")
 
     def _abort(self, slot: _Slot, outcome: str):
-        for request in self.manager.table.waiting_requests_of(slot.txn):
-            self.manager.cancel(request)
-        # Bounded retry: an injected fault can raise *during* abort (an
-        # undo closure, the lock release).  TransactionManager.abort is
-        # re-entrant — each retry resumes cleanup where the previous
-        # attempt stopped — so a couple of retries absorb any bounded
-        # number of faults along the abort path without leaking locks.
-        for attempt in range(3):
-            try:
-                self.stack.txns.abort(slot.txn)
-                break
-            except Exception:
-                if attempt == 2:
-                    raise
+        self.stack.txns.kill(slot.txn)
         slot.outcome = outcome
         slot.waiting_request = None
         slot.pending_steps = []

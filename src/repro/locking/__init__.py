@@ -8,7 +8,7 @@ from repro.locking.escalation import (
     parent_resource,
 )
 from repro.locking.lock_table import LockRequest, LockTable, RequestStatus
-from repro.locking.manager import LockManager, ThreadedLockManager
+from repro.locking.manager import LockManager
 from repro.locking.trace import LockTrace, TraceEvent
 from repro.locking.modes import (
     ALL_MODES,
@@ -54,7 +54,6 @@ __all__ = [
     "SEMANTIC_MODES",
     "SI",
     "SIX",
-    "ThreadedLockManager",
     "TraceEvent",
     "X",
     "all_cycle_members",

@@ -163,7 +163,7 @@ class DeadlockDetector:
     from the waiter only when exactly one request was enqueued since its
     own last *acyclic* verdict (``table.waits`` moved by one), and runs the
     full pass otherwise — no waiter given, waits it was never asked about,
-    a resolve loop that was interrupted with a cycle still standing.  A
+    a :meth:`resolve` loop interrupted with a cycle still standing.  A
     waiter that does reach itself also goes to the full pass:
     :func:`first_cycle` over ``table.waits_for_graph()`` alone chooses the
     cycle — the one :func:`find_cycle` finds in ``table.waits_for_edges()``
@@ -277,3 +277,23 @@ class DeadlockDetector:
                 sorted(cycle, key=lambda txn: (self._age_of(txn), repr(txn))),
             )
         return victim
+
+    def resolve(self, on_victim, waiter=None) -> List[object]:
+        """Break every waits-for cycle; return the victims in order.
+
+        Loops :meth:`check` → :meth:`pick_victim` → ``on_victim(victim,
+        cycle)`` until no cycle remains — breaking one cycle can expose
+        another.  ``on_victim`` must take the victim's wait edges out of
+        the table, usually through
+        :meth:`repro.txn.manager.TransactionManager.kill`.  If it raises,
+        the loop stops with the cycle standing and the next :meth:`check`
+        runs the full pass.  ``waiter``: as for :meth:`check`.
+        """
+        victims = []
+        while True:
+            cycle = self.check(waiter)
+            if cycle is None:
+                return victims
+            victim = self.pick_victim(cycle)
+            victims.append(victim)
+            on_victim(victim, cycle)

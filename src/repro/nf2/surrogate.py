@@ -51,21 +51,18 @@ class ResourceInterner:
       ``intern``/``resource_of`` is stable across arbitrary
       insert/delete/replace/undo traffic (deleted objects keep their id;
       a re-inserted object gets a fresh surrogate and therefore a fresh
-      resource tuple and a fresh id);
-    * ``version`` is bumped exactly on growth — consumers that snapshot
-      derived state can detect new registrations with one int compare.
+      resource tuple and a fresh id).
 
     Ids are assigned lazily at first touch ("registration time"): the
     shard router interns a resource the first time it is locked, the
     server registers the database's resources when it starts.
     """
 
-    __slots__ = ("_ids", "_resources", "version")
+    __slots__ = ("_ids", "_resources")
 
     def __init__(self):
         self._ids = {}
         self._resources: list = []
-        self.version = 0
 
     def intern(self, resource) -> int:
         """The dense id of ``resource``, assigning the next one if new."""
@@ -74,11 +71,7 @@ class ResourceInterner:
             rid = len(self._resources)
             self._ids[resource] = rid
             self._resources.append(resource)
-            self.version += 1
         return rid
-
-    def intern_many(self, resources) -> list:
-        return [self.intern(resource) for resource in resources]
 
     def id_of(self, resource):
         """The id of ``resource`` or None (never assigns)."""
@@ -99,7 +92,4 @@ class ResourceInterner:
         return resource in self._ids
 
     def __repr__(self):
-        return "ResourceInterner(%d ids, version=%d)" % (
-            len(self._resources),
-            self.version,
-        )
+        return "ResourceInterner(%d ids)" % len(self._resources)

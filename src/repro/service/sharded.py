@@ -512,16 +512,6 @@ class ShardedLockManager:
     def detect_deadlock(self, waiter=None) -> Optional[List[object]]:
         return self.detector.check(waiter)
 
-    def resolve_deadlocks(self, abort_callback, waiter=None) -> List[object]:
-        victims = []
-        while True:
-            cycle = self.detector.check(waiter)
-            if cycle is None:
-                return victims
-            victim = self.detector.pick_victim(cycle)
-            victims.append(victim)
-            abort_callback(victim)
-
     # -- metrics --------------------------------------------------------------
 
     def metrics(self) -> Dict[str, int]:

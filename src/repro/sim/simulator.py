@@ -358,7 +358,7 @@ class Simulator:
         run.waiting_request = request
         run.wait_started_at = self.events.now
         if self.deadlock_policy == "detect":
-            self._check_deadlock(run.txn)
+            self.manager.detector.resolve(self._on_victim, run.txn)
         elif self.deadlock_policy == "wait_die":
             self._wait_die(run)
         else:
@@ -447,19 +447,18 @@ class Simulator:
                 if victim is not None:
                     self._abort(victim)
 
-    def _check_deadlock(self, waiter):
-        while True:
-            cycle = self.manager.detect_deadlock(waiter)
-            if cycle is None:
-                return
-            self.metrics.deadlocks += 1
-            victim_txn = self.manager.detector.pick_victim(cycle)
-            victim = self._by_txn.get(victim_txn)
-            if victim is None:
-                raise SimulationError("deadlock victim %r unknown" % (victim_txn,))
-            self._abort(victim)
+    def _on_victim(self, victim_txn, cycle):
+        """Count the deadlock; abort (and maybe restart) the victim's run."""
+        self.metrics.deadlocks += 1
+        victim = self._by_txn.get(victim_txn)
+        if victim is None:
+            raise SimulationError("deadlock victim %r unknown" % (victim_txn,))
+        self._abort(victim)
 
     def _abort(self, run: _TxnRun):
+        # Not TransactionManager.kill: a run's transaction is never in
+        # ``txns.active``, so abort's "already done" test would turn the
+        # retry after a failed release into a silent lock leak.
         run.txn.rollback_data()
         run.txn.state = TxnState.ABORTED
         woken_by_cancel: List[LockRequest] = []

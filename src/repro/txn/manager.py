@@ -12,9 +12,11 @@ consistency, the paper's assumption in section 1).
 
 The synchronous API uses ``wait=False`` semantics: a conflicting request
 raises :class:`~repro.errors.LockConflictError` immediately — suitable for
-tests and single-process examples.  For concurrent execution semantics use
-:mod:`repro.sim` (simulated time) or a
-:class:`~repro.locking.manager.ThreadedLockManager`.
+tests and single-process examples.  Callers that let requests wait (the
+schedule oracle and the server) end a transaction that may still be
+waiting — a deadlock victim, an orphan of a dropped connection — with
+:meth:`TransactionManager.kill`, the one abort path for them.
+:mod:`repro.sim` keeps its own rollback and restart.
 """
 
 from __future__ import annotations
@@ -24,6 +26,7 @@ from typing import List
 
 from repro.errors import TransactionError
 from repro.graphs.units import component_resource, object_resource, relation_resource
+from repro.locking.lock_table import LockRequest
 from repro.locking.modes import IX, S, X
 from repro.nf2.paths import parse_path
 from repro.nf2.values import ComplexObject, ListValue, SetValue, TupleValue
@@ -65,17 +68,20 @@ class TransactionManager:
         self._drop(txn)
         self.committed += 1
 
-    def abort(self, txn: Transaction):
-        # Re-entrant: a fully aborted transaction (no undo work left, no
-        # locks under management) is a no-op, but a *partially* aborted one
-        # — an undo closure or the lock release raised mid-way — resumes
-        # cleanup where the previous attempt stopped.
+    def abort(self, txn: Transaction) -> List[LockRequest]:
+        """Roll back and release; returns the requests the release granted.
+
+        Re-entrant: a fully aborted transaction (no undo work left, no
+        locks under management) is a no-op, but a *partially* aborted one
+        — an undo closure or the lock release raised mid-way — resumes
+        cleanup where the previous attempt stopped.
+        """
         if (
             txn.state == TxnState.ABORTED
             and txn.undo_depth() == 0
             and txn not in self.active
         ):
-            return
+            return []
         injector = self.fault_injector
         before_each = None
         if injector is not None:
@@ -89,10 +95,41 @@ class TransactionManager:
             # raising undo must not leak the transaction's locks — and the
             # accounting only happens once cleanup actually completed.
             txn.state = TxnState.ABORTED
-            self.protocol.release_all(txn, keep_long=False)
+            woken = self.protocol.release_all(txn, keep_long=False)
             if txn in self.active:
                 self.active.remove(txn)
                 self.aborted += 1
+        return woken
+
+    def kill(self, txn: Transaction) -> List[LockRequest]:
+        """End ``txn`` wherever it stands: cancel every request it still
+        waits on, then abort it.
+
+        End as one verb — "unlock all locked resources and clean waiting
+        locks".  The cancellations go first, so a deadlock victim's wait
+        edges leave the table before anything else can fail.  Then a
+        bounded retry: an injected fault can raise during the abort (an
+        undo closure, the lock release), and :meth:`abort` is re-entrant —
+        each retry resumes cleanup where the previous attempt stopped — so
+        three attempts absorb a bounded number of faults without leaking
+        locks; the third failure re-raises.
+
+        Returns the requests the cancellations granted, then those the
+        completing attempt's release granted (grants made by a release
+        that then raised are not returned).
+        """
+        manager = self.protocol.manager
+        woken: List[LockRequest] = []
+        for request in manager.table.waiting_requests_of(txn):
+            woken.extend(manager.cancel(request))
+        for attempt in range(3):
+            try:
+                woken.extend(self.abort(txn))
+                break
+            except Exception:
+                if attempt == 2:
+                    raise
+        return woken
 
     def _drop(self, txn):
         if txn in self.active:

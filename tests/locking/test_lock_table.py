@@ -175,6 +175,20 @@ class TestRelease:
         woken = table.cancel(blocked_x)
         assert blocked_s in woken
 
+    def test_cancelled_conversion_keeps_its_grant(self, table):
+        table.request("t1", R, S)
+        table.request("t2", R, S)
+        conversion = table.request("t1", R, X)  # blocked by t2's S
+        assert not conversion.granted
+        table.cancel(conversion)  # a timeout
+        # the failed conversion is gone but the original S grant stays
+        assert table.waiting_requests_of("t1") == []
+        assert table.held_mode("t1", R) is S
+        # and the queue is live: t2 can still convert after t1 releases
+        table.release_all("t1")
+        assert table.request("t2", R, X).granted
+        assert table.held_mode("t2", R) is X
+
 
 class TestMetrics:
     def test_conflict_tests_counted(self, table):

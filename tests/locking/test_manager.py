@@ -61,7 +61,7 @@ class TestDeadlockResolution:
 
     def test_resolve_aborts_victim(self, manager):
         self.make_deadlock(manager)
-        victims = manager.resolve_deadlocks(lambda t: manager.release_all(t))
+        victims = manager.detector.resolve(lambda t, _: manager.release_all(t))
         assert len(victims) == 1
         assert manager.detect_deadlock() is None
 
@@ -71,12 +71,12 @@ class TestDeadlockResolution:
         manager.acquire("t4", ("rd",), X)
         manager.acquire("t3", ("rd",), X)
         manager.acquire("t4", ("rc",), X)
-        victims = manager.resolve_deadlocks(lambda t: manager.release_all(t))
+        victims = manager.detector.resolve(lambda t, _: manager.release_all(t))
         assert len(victims) == 2
 
     def test_resolve_none(self, manager):
         manager.acquire("t1", RA, S)
-        assert manager.resolve_deadlocks(lambda t: None) == []
+        assert manager.detector.resolve(lambda t, _: None) == []
 
 
 class TestMetrics:

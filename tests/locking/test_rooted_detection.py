@@ -8,16 +8,18 @@ on-wait callers do (one outstanding request per transaction, blocked
 transactions passive) and demands, at every wait, the same verdict *and*
 the same cycle — including after waits nobody checked and after resolve
 loops abandoned with a cycle standing, where the detector must notice on
-its own that the rooted premise is gone.
+its own that the rooted premise is gone.  ``DeadlockDetector.resolve``
+is the loop those callers run.
 """
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from repro.errors import FaultInjected
 from repro.locking.deadlock import DeadlockDetector, all_cycle_members, find_cycle
 from repro.locking.escalation import Escalator, children_held
-from repro.locking.lock_table import LockTable
+from repro.locking.lock_table import LockTable, RequestStatus
 from repro.locking.manager import LockManager
 from repro.locking.modes import CLASSIC_MODES, MODES_BY_CODE, S, X, compatible
 from repro.service.sharded import ShardedLockManager
@@ -195,3 +197,90 @@ class TestPremise:
         manager.acquire("t3", "a", S)
         assert manager.detect_deadlock("t3") is None
         assert manager.detector.rooted_checks == 0
+
+
+def kill(manager):
+    """``on_victim`` at the lock layer: cancel the victim's waits, then
+    release what it holds."""
+
+    def on_victim(victim, cycle):
+        for request in manager.table.waiting_requests_of(victim):
+            manager.cancel(request)
+        manager.release_all(victim)
+
+    return on_victim
+
+
+class TestResolveFromTheWaiter:
+    """``detector.resolve(on_victim, waiter)`` the way the on-wait callers
+    run it, at the two places that could hide a cycle: one that only the
+    *last* waiter closes, and one left standing by a resolve loop that
+    died half-way."""
+
+    RA, RB, RC, RD = ("ra",), ("rb",), ("rc",), ("rd",)
+
+    def test_cycle_closed_by_the_last_of_three_waiters(self):
+        manager = LockManager()
+        detector = manager.detector
+        for txn, resource in (("t1", self.RA), ("t2", self.RB), ("t3", self.RC)):
+            assert manager.acquire(txn, resource, X).granted
+        t1_waits = manager.acquire("t1", self.RB, X)
+        assert detector.resolve(kill(manager), "t1") == []
+        t2_waits = manager.acquire("t2", self.RC, X)
+        assert detector.resolve(kill(manager), "t2") == []
+        # two chained waits, no cycle, the second answered from t2 alone
+        assert (detector.detections, detector.deadlocks_found) == (2, 0)
+        assert detector.rooted_checks == 1
+        t3_waits = manager.acquire("t3", self.RA, X)  # t3 -> t1 -> t2 -> t3
+        # t3 (youngest by repr) dies on its own wait; the chain unwinds
+        assert detector.resolve(kill(manager), "t3") == ["t3"]
+        assert t3_waits.status == RequestStatus.CANCELLED
+        assert t2_waits.granted and not t1_waits.granted
+        manager.release_all("t2")
+        assert t1_waits.granted
+        manager.release_all("t1")
+        assert detector.deadlocks_found == 1
+        assert manager.lock_count() == 0
+
+    def test_full_pass_after_an_interrupted_resolve_loop(self, monkeypatch):
+        """The victim's cancellation faults, so t2's resolve dies with the
+        t1/t2 cycle still in the table.  t3's later wait is nowhere near
+        that cycle: only the full pass can find it, and the detector must
+        choose that on its own."""
+        manager = LockManager()
+        detector = manager.detector
+        for txn, resource in (("t1", self.RA), ("t2", self.RB), ("t4", self.RD)):
+            assert manager.acquire(txn, resource, X).granted
+        t1_waits = manager.acquire("t1", self.RB, X)
+        assert detector.resolve(kill(manager), "t1") == []
+
+        cancel = manager.cancel
+        faults = []
+
+        def faulty_cancel(request):
+            if not faults:
+                faults.append(request)
+                raise FaultInjected("cancel of %r" % (request,))
+            return cancel(request)
+
+        monkeypatch.setattr(manager, "cancel", faulty_cancel)
+        orphan = manager.acquire("t2", self.RA, X)
+        with pytest.raises(FaultInjected):
+            detector.resolve(kill(manager), "t2")
+        assert faults == [orphan]
+        assert orphan.status == RequestStatus.WAITING  # the cycle stands
+        assert detector.deadlocks_found == 1
+
+        rooted_before = detector.rooted_checks
+        t3_waits = manager.acquire("t3", self.RD, X)  # waits on t4
+        # t3's resolve found and broke the old cycle without a rooted answer
+        assert detector.resolve(kill(manager), "t3") == ["t2"]
+        assert detector.deadlocks_found == 2
+        assert detector.rooted_checks == rooted_before
+        assert orphan.status == RequestStatus.CANCELLED
+        assert t1_waits.granted  # t2's kill released RB
+        manager.release_all("t4")
+        assert t3_waits.granted
+        manager.release_all("t1")
+        manager.release_all("t3")
+        assert manager.lock_count() == 0

@@ -53,16 +53,6 @@ class TestResourceInterner:
             assert interner.resource_of(rid) == resource
         assert len(interner) == 3
 
-    def test_version_bumps_only_on_growth(self):
-        interner = ResourceInterner()
-        v0 = interner.version
-        interner.intern(("a",))
-        assert interner.version == v0 + 1
-        interner.intern(("a",))  # hit: no growth, no bump
-        assert interner.version == v0 + 1
-        interner.intern_many([("a",), ("b",)])
-        assert interner.version == v0 + 2
-
     def test_id_of_unknown_is_none(self):
         interner = ResourceInterner()
         assert interner.id_of(("missing",)) is None
@@ -128,7 +118,6 @@ class TestInternerTraceProperty:
         stack.authorization.grant_modify("w", "effectors")
         interner = stack.manager.router
         seen = snapshot(interner)
-        version = interner.version
 
         for action, key_n, value_n, commit in trace:
             key = "e%d" % key_n
@@ -184,7 +173,5 @@ class TestInternerTraceProperty:
             else:
                 stack.txns.abort(txn)  # undo replays through the same hooks
             assert_interner_stable(interner, seen)
-            assert interner.version >= version
-            version = interner.version
             assert check_held_index(stack.manager) == []
         assert stack.manager.lock_count() == 0

@@ -166,6 +166,87 @@ class TestDetectorDelay:
         asyncio.run(go())
 
 
+class TestFailedKill:
+    def test_detector_outlives_a_victim_it_cannot_kill(self, monkeypatch):
+        """The first victim's abort fails on all three attempts, so its
+        kill re-raises inside the detector task.  The task lives on: a
+        later cycle is still broken, and ``stop()`` does not re-raise."""
+        P1, P2 = "db1/seg_parts/parts/p1/name", "db1/seg_parts/parts/p2/name"
+
+        async def go():
+            server = LockServer(make_service_stack("partlib", shards=4), port=0)
+            host, port = await server.start()
+            reported = []
+            asyncio.get_running_loop().set_exception_handler(
+                lambda loop, context: reported.append(context["exception"])
+            )
+            txns = server.stack.txns
+            abort = txns.abort
+            failed = []
+
+            def failing_abort(txn):
+                if len(failed) < 3:
+                    failed.append(txn)
+                    raise RuntimeError("abort of %r failed" % (txn,))
+                return abort(txn)
+
+            monkeypatch.setattr(txns, "abort", failing_abort)
+
+            async def cycle(names, paths):
+                """Two connections, each holding one path and then asking
+                for the other's; returns ``{frame task: (client, name)}``."""
+                ends = []
+                for name, path in zip(names, paths):
+                    client = await ServiceClient(host, port).connect()
+                    assert (await client.start(name)).startswith("OK")
+                    assert (await client.xlock(name, path)).startswith("OK GRANTED")
+                    ends.append((client, name))
+                frames = {}
+                for (client, name), path in zip(ends, reversed(paths)):
+                    frames[asyncio.create_task(client.xlock(name, path))] = (
+                        client,
+                        name,
+                    )
+                    await asyncio.sleep(0.05)
+                return frames
+
+            first = await cycle("ab", (M1, M2))
+            done, parked = await asyncio.wait(
+                first, timeout=5, return_when=asyncio.FIRST_COMPLETED
+            )
+            (victim_frame,) = done
+            assert victim_frame.result().startswith("ERR DEADLOCK")
+            assert len(failed) == 3 and len(set(failed)) == 1
+            assert [type(exc) for exc in reported] == [RuntimeError]
+            assert not server._detector_task.done()
+
+            # kill cancelled the victim's wait before its abort failed: the
+            # first cycle is broken, the survivor waits on leaked locks
+            second = await cycle("cd", (P1, P2))
+            responses = await asyncio.wait_for(asyncio.gather(*second), 5)
+            assert sorted(r.split()[0] for r in responses) == ["ERR", "OK"]
+            assert server.stats["deadlock_victims"] == 2
+
+            txns.kill(failed[0])  # the abort works now
+            (survivor_frame,) = parked
+            response = await asyncio.wait_for(survivor_frame, 5)
+            assert response.startswith("OK GRANTED")
+            survivors = [first[survivor_frame]] + [
+                end
+                for frame, end in second.items()
+                if frame.result().startswith("OK GRANTED")
+            ]
+            for client, name in survivors:
+                assert (await client.end(name)).startswith("OK")
+            for client, _ in list(first.values()) + list(second.values()):
+                await client.close()
+            await asyncio.sleep(0.05)
+            assert_no_leaks(server)
+            await server.stop()
+
+        asyncio.run(go())
+
+
 class TestFaultsInsideAcquireMany:
     def test_injected_timeout_mid_batch(self):
         async def go():

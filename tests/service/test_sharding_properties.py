@@ -152,13 +152,13 @@ class TestCrossShardDeadlocks:
 
         victims = []
 
-        def abort(victim):
+        def abort(victim, cycle):
             for request in manager.table.waiting_requests_of(victim):
                 manager.cancel(request)
             manager.release_all(victim)
             victims.append(victim)
 
-        resolved = manager.resolve_deadlocks(abort)
+        resolved = manager.detector.resolve(abort)
         assert resolved == victims
         assert len(victims) == 1
         assert manager.detect_deadlock() is None

@@ -11,6 +11,7 @@ from repro.errors import (
 )
 from repro.faults import FaultInjector, FaultPlan, FaultSpec
 from repro.graphs.units import object_resource
+from repro.locking.lock_table import RequestStatus
 from repro.locking.modes import S, X
 from repro.nf2 import make_set, make_tuple
 from repro.txn.transaction import TxnState
@@ -222,3 +223,76 @@ class TestRaisingUndoClosures:
         assert stack.manager.locks_of(txn) == {}
         assert stack.database.get("effectors", "e1").root["tool"] == "t1"
         assert audit(stack.protocol) == []  # index entries restored
+
+
+class TestKill:
+    """``TransactionManager.kill``: cancel every wait, then the re-entrant
+    abort under a three-attempt retry."""
+
+    RA, RB, RC = ("kill", "a"), ("kill", "b"), ("kill", "c")
+
+    def victim_waiting_twice(self, stack):
+        """A writer with an undo record that holds RC in X and waits on RA
+        and RB at once (the served, pipelined case), with a reader parked
+        behind each of its three requests.  Returns the victim, its two
+        waits and the readers' requests: RA and RB's are granted by the
+        cancellations, RC's by the release."""
+        txns, manager = stack.txns, stack.manager
+        holder = txns.begin(name="holder")
+        victim = txns.begin(principal="user2", name="victim")
+        txns.update_component(victim, "cells", "c1", "robots[r1].trajectory", "dirty")
+        assert manager.acquire(victim, self.RC, X).granted
+        for resource in (self.RA, self.RB):
+            assert manager.acquire(holder, resource, S).granted
+        waits = [manager.acquire(victim, r, X) for r in (self.RA, self.RB)]
+        parked = [
+            manager.acquire(txns.begin(name="r%d" % i), resource, S)
+            for i, resource in enumerate((self.RA, self.RB, self.RC))
+        ]
+        assert not any(request.granted for request in waits + parked)
+        return victim, waits, parked
+
+    def assert_ended(self, stack, victim, waits, parked):
+        assert [w.status for w in waits] == [RequestStatus.CANCELLED] * 2
+        assert all(request.granted for request in parked)
+        assert stack.manager.locks_of(victim) == {}
+        assert stack.manager.table.waiting_requests_of(victim) == []
+        assert victim.state is TxnState.ABORTED
+        assert victim not in stack.txns.active
+
+    def test_cancels_every_wait_then_aborts(self, figure7_stack):
+        stack = figure7_stack
+        victim, waits, parked = self.victim_waiting_twice(stack)
+        # cancel-first, then what the release granted
+        assert stack.txns.kill(victim) == parked
+        self.assert_ended(stack, victim, waits, parked)
+        assert stack.txns.aborted == 1
+        cell = stack.database.get("cells", "c1")
+        assert cell.root["robots"][0]["trajectory"] == "tr1"
+
+    def test_undo_fault_on_the_first_attempt_is_absorbed(self, figure7_stack):
+        stack = figure7_stack
+        victim, waits, parked = self.victim_waiting_twice(stack)
+        injector = FaultInjector(
+            FaultPlan([FaultSpec("txn.undo", occurrence=1)])
+        ).install(stack)
+        woken = stack.txns.kill(victim)
+        assert len(injector.log) == 1
+        # RC's reader was granted by the release inside the failed
+        # attempt, which raised instead of returning it
+        assert woken == parked[:2]
+        self.assert_ended(stack, victim, waits, parked)
+        cell = stack.database.get("cells", "c1")
+        assert cell.root["robots"][0]["trajectory"] == "tr1"
+
+    def test_fault_on_every_attempt_reraises(self, figure7_stack):
+        stack = figure7_stack
+        victim, waits, parked = self.victim_waiting_twice(stack)
+        injector = FaultInjector(FaultPlan([FaultSpec("txn.undo", every=1)])).install(
+            stack
+        )
+        with pytest.raises(FaultInjected):
+            stack.txns.kill(victim)
+        assert len(injector.log) == 3
+        self.assert_ended(stack, victim, waits, parked)
+        assert victim.undo_depth() == 1  # the rollback never ran
