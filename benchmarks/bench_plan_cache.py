@@ -11,6 +11,7 @@ group request (``request_many``, the served path) costs on a covered
 plan.
 """
 
+import statistics
 import time
 
 import repro
@@ -61,15 +62,44 @@ def _best(variant, fn=None, rounds=3):
     return min(times), metrics
 
 
+#: The headline gate times the two variants in adjacent pairs of short
+#: chunks, alternating which one goes first, and takes the median of the
+#: per-pair ratios.  A slow spell of a shared host (they last about a
+#: second on a 2-vCPU machine, longer than a whole best-of-3 series of
+#: one variant) then slows both sides of the pairs it covers instead of
+#: one variant's series.
+GATE_PAIRS = 41
+GATE_CHUNK = 50
+
+
+def _demand_chunk(stack, cells, count):
+    """``count`` one-demand transactions over ``cells`` (round-robin)."""
+    start = time.perf_counter()
+    for i in range(count):
+        txn = stack.txns.begin()
+        stack.protocol.request(txn, cells[i % len(cells)], S)
+        stack.txns.commit(txn)
+    return time.perf_counter() - start
+
+
 def test_plan_cache_repeated_demands(benchmark):
     """The BENCH_2 headline: cache on vs off on repeated whole-cell reads."""
-    off_time, off_metrics = _best((False,))
-    cache_time, cache_metrics = _best((True,))
-    speedup = off_time / cache_time
+    (off, cells), (cached, _) = _stack(False), _stack(True)
+    ratios = []
+    for pair in range(GATE_PAIRS):
+        if pair % 2:
+            cache_time = _demand_chunk(cached, cells, GATE_CHUNK)
+            off_time = _demand_chunk(off, cells, GATE_CHUNK)
+        else:
+            off_time = _demand_chunk(off, cells, GATE_CHUNK)
+            cache_time = _demand_chunk(cached, cells, GATE_CHUNK)
+        ratios.append(off_time / cache_time)
+    speedup = statistics.median(ratios)
+    off_metrics, cache_metrics = off.protocol.metrics(), cached.protocol.metrics()
     print_table(
-        "Plan cache: %d repeated S demands (%d cells x %d robots)"
-        % (N_TXNS, DB_KWARGS["n_cells"], DB_KWARGS["n_robots"]),
-        ("variant", "best of 3", "speedup", "cache hits", "misses"),
+        "Plan cache: %d x %d repeated S demands (%d cells x %d robots)"
+        % (GATE_PAIRS, GATE_CHUNK, DB_KWARGS["n_cells"], DB_KWARGS["n_robots"]),
+        ("variant", "chunk", "median speedup", "cache hits", "misses"),
         [
             ("compile every demand", "%.4fs" % off_time, "1.00x", "-", "-"),
             (
@@ -83,8 +113,9 @@ def test_plan_cache_repeated_demands(benchmark):
     )
     # Same lock traffic either way — the ablation only moves compile time.
     assert off_metrics["locks_requested"] == cache_metrics["locks_requested"]
-    assert cache_metrics["plan_cache_hits"] >= N_TXNS - DB_KWARGS["n_cells"]
-    # the acceptance bar for this PR; measured ~2x with margin
+    total = GATE_PAIRS * GATE_CHUNK
+    assert cache_metrics["plan_cache_hits"] >= total - DB_KWARGS["n_cells"]
+    # the acceptance bar; measured 1.36-1.52x (median of pairs) per run
     assert speedup >= 1.3
     benchmark.extra_info["plan_cache_speedup"] = round(speedup, 3)
     benchmark.extra_info["plan_cache_hits"] = cache_metrics["plan_cache_hits"]

@@ -83,15 +83,12 @@ class LockStack:
         self.authorization = (
             authorization if authorization is not None else AuthorizationManager()
         )
-        # one lock table, or with shards=N the sharded deployment: same
-        # call surface, the table partitioned by interned resource id
-        shards = protocol_kwargs.pop("shards", None)
-        if shards:
-            from repro.service.sharded import ShardedLockManager
-
-            self.manager = ShardedLockManager(n_shards=shards)
-        else:
-            self.manager = LockManager()
+        # ``shards`` is accepted and ignored: the benchmark server
+        # (benchmarks/e2e/serve.py) still passes shards=4 from when the
+        # served table was partitioned.  It goes once that caller stops
+        # passing it (ROADMAP item 1f).
+        protocol_kwargs.pop("shards", None)
+        self.manager = LockManager()
         if protocol_cls is HerrmannProtocol:
             protocol_kwargs.setdefault("authorization", self.authorization)
         self.protocol = protocol_cls(self.manager, self.catalog, **protocol_kwargs)

@@ -132,11 +132,6 @@ def _build_parser() -> argparse.ArgumentParser:
         help="skip the plan cache vs. uncached comparison",
     )
     diff.add_argument(
-        "--no-sharding",
-        action="store_true",
-        help="skip the sharded vs. single lock table comparison",
-    )
-    diff.add_argument(
         "--no-binary-wire",
         action="store_true",
         help="skip the three-way text/binary/pipelined wire comparison",
@@ -379,7 +374,6 @@ def cmd_differential(args) -> int:
             seed=args.seed,
             ablations=not args.no_ablations,
             plan_cache=not args.no_plan_cache,
-            sharding=not args.no_sharding,
             semantic_modes=not args.no_semantic_modes,
         )
     except CheckError as exc:
@@ -441,12 +435,6 @@ def _print_differential(summary) -> None:
             "  plan cache invisible: %d schedules with "
             "bit-identical lock traces on vs off"
             % summary["plan_cache_schedules"]
-        )
-    if "sharding_schedules" in summary:
-        print(
-            "  sharding invisible: %d schedules with bit-identical "
-            "lock traces sharded vs single table"
-            % summary["sharding_schedules"]
         )
     if "semantic_modes_schedules" in summary:
         print(

@@ -247,39 +247,6 @@ def plan_cache_fingerprints(
     )
 
 
-def sharded_fingerprints(
-    workload: Workload,
-    protocol: str = "herrmann",
-    shards: int = 4,
-    max_schedules: int = 5000,
-    max_steps: int = 300,
-) -> Dict[str, tuple]:
-    """Explore one workload on the single lock table vs. N shards.
-
-    The sharded deployment (:class:`repro.service.sharded.
-    ShardedLockManager`) partitions the lock table by interned resource
-    id; its claim is that partitioning is pure deployment — grant order,
-    wake order and every lock event must replay bit-identically to the
-    single table.  The fingerprints therefore include the lock-trace
-    narrative.  :func:`assert_ablations_agree` checks the paths coincide.
-    """
-    fingerprints: Dict[str, tuple] = {}
-    for n_shards in (0, shards):
-        variant = {"protocol_cls": PROTOCOLS[protocol]}
-        if n_shards:
-            variant["shards"] = n_shards
-        explorer = Explorer(
-            workload,
-            variant=variant,
-            check_rules=check_rules_for(protocol),
-            max_schedules=max_schedules,
-            max_steps=max_steps,
-        )
-        label = "shards=%d" % n_shards if n_shards else "single-table"
-        fingerprints[label] = explorer.explore().fingerprint(include_trace=True)
-    return fingerprints
-
-
 def semantic_modes_fingerprints(
     workload: Workload,
     protocol: str = "herrmann",
@@ -374,7 +341,6 @@ def differential_check(
     seed: int = 0,
     ablations: bool = True,
     plan_cache: bool = True,
-    sharding: bool = True,
     semantic_modes: bool = True,
 ) -> dict:
     """The full differential story for one workload.
@@ -420,12 +386,6 @@ def differential_check(
         )
         summary["plan_cache_schedules"] = assert_ablations_agree(fingerprints)
         summary["plan_cache"] = fingerprints
-    if sharding and not walks:
-        fingerprints = sharded_fingerprints(
-            workload, max_schedules=max_schedules, max_steps=max_steps
-        )
-        summary["sharding_schedules"] = assert_ablations_agree(fingerprints)
-        summary["sharding"] = fingerprints
     if semantic_modes and not walks and not workload.has_commuting_ops:
         fingerprints = semantic_modes_fingerprints(
             workload, max_schedules=max_schedules, max_steps=max_steps

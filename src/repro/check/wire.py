@@ -296,13 +296,11 @@ def _normalise(trace: LockTrace, responses) -> tuple:
     return (events, tuple(responses))
 
 
-async def _run_script(script: str, mode: str, shards: int = 4) -> tuple:
+async def _run_script(script: str, mode: str) -> tuple:
     from repro.service.server import LockServer, make_service_stack
 
     stack = make_service_stack(
-        SCRIPT_WORKLOADS[script],
-        shards=shards,
-        **SCRIPT_FLAGS.get(script, {})
+        SCRIPT_WORKLOADS[script], **SCRIPT_FLAGS.get(script, {})
     )
     server = LockServer(
         stack,
@@ -328,12 +326,12 @@ async def _run_script(script: str, mode: str, shards: int = 4) -> tuple:
 
 
 def wire_fingerprints(
-    script: str, modes: Tuple[str, ...] = WIRE_MODES, shards: int = 4
+    script: str, modes: Tuple[str, ...] = WIRE_MODES
 ) -> "OrderedDict[str, tuple]":
     """Replay one script under every wire mode; returns the fingerprints."""
     fingerprints: "OrderedDict[str, tuple]" = OrderedDict()
     for mode in modes:
-        fingerprints[mode] = asyncio.run(_run_script(script, mode, shards))
+        fingerprints[mode] = asyncio.run(_run_script(script, mode))
     return fingerprints
 
 
@@ -371,7 +369,6 @@ def assert_wire_modes_agree(
 def wire_differential(
     scripts: Tuple[str, ...] = tuple(SCRIPTS),
     modes: Tuple[str, ...] = WIRE_MODES,
-    shards: int = 4,
 ) -> "OrderedDict[str, dict]":
     """The full wire story: every script under every mode.
 
@@ -380,7 +377,7 @@ def wire_differential(
     """
     summary: "OrderedDict[str, dict]" = OrderedDict()
     for script in scripts:
-        fingerprints = wire_fingerprints(script, modes=modes, shards=shards)
+        fingerprints = wire_fingerprints(script, modes=modes)
         events = assert_wire_modes_agree(fingerprints, script=script)
         summary[script] = {
             "events": events,

@@ -22,8 +22,8 @@ The uncontended lifecycle is one step per layer.  A request for a
 resource nobody holds or waits on builds its entry already granted
 (:meth:`LockTable._submit`); EOT release (rule 5, :meth:`LockTable.
 release_all`) walks the transaction's grants once in grant order and
-drops its owned set and held-mode summary wholesale afterwards, waking
-only entries that have queues and retiring empty entries inline.
+drops its held-mode summary wholesale afterwards, waking only entries
+that have queues and retiring empty entries inline.
 """
 
 from __future__ import annotations
@@ -78,7 +78,7 @@ class LockRequest:
         self.long = long
         self.is_conversion = is_conversion
         #: position in its table's enqueue sequence (None until the
-        #: request waits; shards of one manager share the sequence)
+        #: request waits)
         self.enqueued_at = None
 
     @property
@@ -134,15 +134,6 @@ class _HeldLock:
         self.code = effective.code
 
 
-def eot_order(owned: Iterable[object], waiting: Iterable[LockRequest]):
-    """The resources EOT release walks, as an ordered dict: ``owned``
-    (first-grant order), then those only waited on, in enqueue order."""
-    resources = dict.fromkeys(owned)
-    for request in waiting:
-        resources.setdefault(request.resource)
-    return resources
-
-
 class _ResourceEntry:
     __slots__ = (
         "granted", "held", "conversions", "queue", "version", "waits_cache"
@@ -191,18 +182,15 @@ class LockTable:
         #: table untouched (fail-fast placement)
         self.fault_injector = None
         self._entries: Dict[object, _ResourceEntry] = {}
-        #: txn -> {resource: None}: an insertion-ordered set of the
-        #: resources the transaction holds, in first-grant order.  The
-        #: order is part of the observable contract: ``release_all`` walks
-        #: it, so the wake order of end-of-transaction release is the
-        #: grant order — which is what lets a sharded deployment replay
-        #: the exact same lock trace as one table (see repro.service).
-        self._txn_resources: Dict[object, Dict[object, None]] = {}
         #: per-transaction held-mode summary: txn -> {resource: effective
         #: mode}.  Mirrors ``entry.granted[txn].mode`` and is maintained at
         #: every grant/conversion/release site, so "do I already hold at
         #: least this mode?" is one dict probe instead of two — the hot
-        #: question of plan filtering and batched acquisition.
+        #: question of plan filtering and batched acquisition.  Its keys
+        #: are also the transaction's resources in first-grant order (a
+        #: conversion rewrites a value, never moves a key): ``release_all``
+        #: walks them, so the wake order of end-of-transaction release is
+        #: the grant order.
         self._txn_modes: Dict[object, Dict[object, LockMode]] = {}
         #: txn -> {waiting request: None} (conversion or queued), in
         #: enqueue order; lets release_all and deadlock victim handling
@@ -261,7 +249,7 @@ class LockTable:
         return held is not None and covers(held, mode)
 
     def resources_of(self, txn) -> Set[object]:
-        return set(self._txn_resources.get(txn, ()))
+        return set(self._txn_modes.get(txn, ()))
 
     def locked_resources(self) -> List[object]:
         return [r for r, e in self._entries.items() if e.granted]
@@ -466,56 +454,46 @@ class LockTable:
 
         One pass over the transaction's grants in first-grant order, then
         over the resources it only waits on in enqueue order (which makes
-        the wake order deterministic); see :meth:`_release_resource`.  The
-        owned set and the held-mode summary are dropped once at the end,
-        with one ``summary_version`` bump.  Any waiting requests of
-        ``txn`` are cancelled as well.
+        the wake order deterministic): each held grant leaves its entry,
+        ``txn``'s waits there are cancelled, the entry's queue is
+        processed only when it has one, and an emptied entry is retired
+        inline.  The held-mode summary is dropped once at the end, with
+        one ``summary_version`` bump.
 
         With ``keep_long=True`` only short locks are dropped — used when a
         workstation transaction hands over to a long check-out lock; the
-        kept locks stay indexed, so each dropped one is unindexed as it
-        goes.
+        kept locks stay in the summary, so each dropped one leaves it as
+        it goes.
         """
         if self.fault_injector is not None:
             self.fault_injector.fire("lock.release", txn=txn, resource=None)
         woken: List[LockRequest] = []
-        for resource in eot_order(
-            self._txn_resources.get(txn, ()), self._txn_waiting.get(txn, ())
-        ):
-            self._release_resource(txn, resource, keep_long, woken)
+        entries = self._entries
+        resources = dict.fromkeys(self._txn_modes.get(txn, ()))
+        for request in self._txn_waiting.get(txn, ()):
+            resources.setdefault(request.resource)
+        for resource in resources:
+            entry = entries.get(resource)
+            if entry is None:
+                continue
+            held = entry.granted.get(txn)
+            if held is not None and not (keep_long and held.long):
+                if keep_long:
+                    self._drop_grant(entry, txn, resource, held)
+                else:
+                    del entry.granted[txn]
+                    entry.held -= HELD_UNIT[held.code]
+                entry.version += 1
+                self.wait_graph_version += 1
+            if entry.conversions or entry.queue:
+                if txn in self._txn_waiting:
+                    self._cancel_waiting(entry, txn)
+                woken.extend(self._process_queue(entry))
+            if not (entry.granted or entry.conversions or entry.queue):
+                del entries[resource]
         if not keep_long:
-            self._txn_resources.pop(txn, None)
             self._summary_clear(txn)
         return woken
-
-    def _release_resource(self, txn, resource, keep_long: bool, woken: list):
-        """EOT release of one resource, appending what it wakes to
-        ``woken``: the per-resource body of :meth:`release_all`, factored
-        out so a sharded deployment can walk a *global* grant-order
-        resource list while each resource's entry work happens on its own
-        shard (see repro.service.sharded).
-
-        Without ``keep_long`` the owned set and the summary still list
-        ``resource`` afterwards: the caller drops them wholesale.
-        """
-        entry = self._entries.get(resource)
-        if entry is None:
-            return
-        held = entry.granted.get(txn)
-        if held is not None and not (keep_long and held.long):
-            if keep_long:
-                self._drop_grant(entry, txn, resource, held)
-            else:
-                del entry.granted[txn]
-                entry.held -= HELD_UNIT[held.code]
-            entry.version += 1
-            self.wait_graph_version += 1
-        if entry.conversions or entry.queue:
-            if txn in self._txn_waiting:
-                self._cancel_waiting(entry, txn)
-            woken.extend(self._process_queue(entry))
-        if not (entry.granted or entry.conversions or entry.queue):
-            del self._entries[resource]
 
     def cancel(self, request: LockRequest) -> List[LockRequest]:
         """Withdraw a waiting request (deadlock victim / timeout)."""
@@ -600,22 +578,13 @@ class LockTable:
         """
         order: Dict[object, None] = {}
         adjacency: Dict[object, List[object]] = {}
-        self._graph_into(order, adjacency)
-        return list(order), adjacency
-
-    def _graph_into(
-        self, order: Dict[object, None], adjacency: Dict[object, List[object]]
-    ):
-        """Append this table's waits-for graph to ``(order, adjacency)``:
-        the nodes in first-appearance order, and each waiter's blockers
-        after the ones already there (a transaction waiting at several
-        entries, or on several shards, gets the concatenation in edge
-        order).  Entries nobody waits on are skipped unread."""
         entry_waits = self._entry_waits
         for entry in self._entries.values():
             if entry.conversions or entry.queue:
                 _, waits, nodes = entry_waits(entry)
                 order.update(nodes)
+                # a transaction waiting at several entries gets the
+                # concatenation of its blockers, in edge order
                 for request, blockers in waits.items():
                     if blockers:
                         txn = request.txn
@@ -623,6 +592,7 @@ class LockTable:
                         adjacency[txn] = (
                             blockers if before is None else before + blockers
                         )
+        return list(order), adjacency
 
     def blockers_of(self, txn) -> List[object]:
         """The transactions ``txn`` waits for: ``dst`` of every edge
@@ -741,7 +711,7 @@ class LockTable:
         """
         compat = COMPAT_FLAT
         entries = self._entries
-        for resource in self._txn_resources.get(txn, ()):
+        for resource in self._txn_modes.get(txn, ()):
             entry = entries[resource]
             if not (entry.conversions or entry.queue):
                 continue
@@ -826,15 +796,10 @@ class LockTable:
 
     def _drop_grant(self, entry, txn, resource, held: _HeldLock):
         """Take ``txn``'s whole grant ``held`` on ``resource`` out of the
-        table, unindexing it (``release_all`` without ``keep_long`` drops
-        the indexes wholesale instead)."""
+        table and the summary (``release_all`` without ``keep_long`` drops
+        the summary wholesale instead)."""
         del entry.granted[txn]
         entry.held -= HELD_UNIT[held.code]
-        owned = self._txn_resources.get(txn)
-        if owned is not None:
-            owned.pop(resource, None)
-            if not owned:
-                del self._txn_resources[txn]
         self._summary_drop(txn, resource)
 
     def _grant(self, entry, request: LockRequest, held: Optional[_HeldLock]):
@@ -851,11 +816,6 @@ class LockTable:
             held.push(mode, request.long)
             entry.held += HELD_UNIT[held.code] - HELD_UNIT[before]
         request.status = RequestStatus.GRANTED
-        owned = self._txn_resources.get(txn)
-        if owned is None:
-            self._txn_resources[txn] = {resource: None}
-        else:
-            owned[resource] = None
         self._summary_set(txn, resource, held.mode)
         entry.version += 1
         self.wait_graph_version += 1

@@ -32,6 +32,11 @@ class LockManager:
     def __init__(self, age_of=None, reader_bypass: bool = False):
         self.table = LockTable(reader_bypass=reader_bypass)
         self.detector = DeadlockDetector(self.table, age_of=age_of)
+        #: optional callback(list of woken LockRequests): called once by
+        #: each ``release``, ``release_all`` or ``cancel`` that granted
+        #: queued waiters, with them in wake order — the asyncio server
+        #: resolves its parked futures from here
+        self.on_wake = None
 
     def set_age_of(self, age_of) -> "LockManager":
         """Install the age function used for deadlock victim selection.
@@ -88,13 +93,18 @@ class LockManager:
         return requests
 
     def release(self, txn, resource) -> List[LockRequest]:
-        return self.table.release(txn, resource)
+        return self._woke(self.table.release(txn, resource))
 
     def release_all(self, txn, keep_long: bool = False) -> List[LockRequest]:
-        return self.table.release_all(txn, keep_long=keep_long)
+        return self._woke(self.table.release_all(txn, keep_long=keep_long))
 
     def cancel(self, request: LockRequest) -> List[LockRequest]:
-        return self.table.cancel(request)
+        return self._woke(self.table.cancel(request))
+
+    def _woke(self, woken: List[LockRequest]) -> List[LockRequest]:
+        if woken and self.on_wake is not None:
+            self.on_wake(woken)
+        return woken
 
     def holders(self, resource) -> Dict[object, LockMode]:
         return self.table.holders(resource)
@@ -104,6 +114,13 @@ class LockManager:
 
     def holds_at_least(self, txn, resource, mode: LockMode) -> bool:
         return self.table.holds_at_least(txn, resource, mode)
+
+    def held_modes(self, txn) -> Optional[Dict[object, LockMode]]:
+        """``txn``'s held-mode summary, resource -> effective mode (None
+        when it holds nothing): the table's own dict, so a caller checking
+        many resources pays one probe for the transaction and one per
+        resource.  Read it, never write it."""
+        return self.table._txn_modes.get(txn)
 
     def locks_of(self, txn) -> Dict[object, LockMode]:
         """All resources ``txn`` currently holds, with modes."""

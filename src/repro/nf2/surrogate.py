@@ -40,22 +40,19 @@ class SurrogateGenerator:
 class ResourceInterner:
     """Bijective map from resources/surrogates to dense integer ids.
 
-    Two users speak in these ids: the sharded lock manager routes a
-    resource to ``id % n_shards`` (:mod:`repro.service.sharded`), and the
-    binary wire protocol names resources by id instead of by path
-    (:mod:`repro.service.server`).  The contract both rely on:
+    The binary wire protocol names resources by these ids instead of by
+    path (:mod:`repro.service.server`).  The contract it relies on:
 
     * an id, once assigned, is **never reused or reassigned** — the
-      mapping only grows, so a resource's shard and its wire id stay
-      fixed for the interner's whole lifetime and round-trip
-      ``intern``/``resource_of`` is stable across arbitrary
-      insert/delete/replace/undo traffic (deleted objects keep their id;
-      a re-inserted object gets a fresh surrogate and therefore a fresh
-      resource tuple and a fresh id).
+      mapping only grows, so a resource's wire id stays fixed for the
+      interner's whole lifetime and round-trip ``intern``/``resource_of``
+      is stable across arbitrary insert/delete/replace/undo traffic
+      (deleted objects keep their id; a re-inserted object gets a fresh
+      surrogate and therefore a fresh resource tuple and a fresh id).
 
-    Ids are assigned lazily at first touch ("registration time"): the
-    shard router interns a resource the first time it is locked, the
-    server registers the database's resources when it starts.
+    Ids are assigned at first touch ("registration time"): the server
+    registers the database's resources when it starts, and ``OP_INTERN``
+    adds more.
     """
 
     __slots__ = ("_ids", "_resources")

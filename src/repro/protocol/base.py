@@ -306,20 +306,26 @@ class ProtocolBase:
         """Drop merged steps the transaction already covers explicitly.
 
         The transaction-*dependent* half: runs on every demand (cache hit
-        or not) against the caller's current held locks — one O(1)
-        held-mode probe per step.  Never mutates ``merged`` (cached step
-        tuples are shared).
+        or not) against the caller's current held locks.  The held-mode
+        summary is read once per demand: a transaction holding nothing
+        gets every step back unprobed, otherwise each step costs one dict
+        probe and one ``covers`` test.  Never mutates ``merged`` (cached
+        step tuples are shared).
         """
         if self.fault_injector is not None:
             # mid-propagation: the demand is expanded and merged but not
             # yet turned into lock requests — nothing to clean up on raise
             self.fault_injector.fire("plan.expand", txn=txn, steps=len(merged))
-        holds_at_least = self.manager.holds_at_least
+        held = self.manager.held_modes(txn)
+        if not held:
+            return LockPlan(list(merged))
+        get = held.get
         return LockPlan(
             [
                 step
                 for step in merged
-                if not holds_at_least(txn, step.resource, step.mode)
+                if (mode := get(step.resource)) is None
+                or not covers(mode, step.mode)
             ]
         )
 

@@ -9,17 +9,14 @@ import sys
 
 
 def serve_main(argv=None) -> int:
-    """Serve a sharded lock stack over the text and binary protocols."""
+    """Serve a lock stack over the text and binary protocols."""
     parser = argparse.ArgumentParser(
         prog="repro-serve",
-        description="Serve a sharded lock stack over the asyncio text "
+        description="Serve a lock stack over the asyncio text "
         "and binary wire protocols.",
     )
     parser.add_argument("--host", default="127.0.0.1")
     parser.add_argument("--port", type=int, default=7457)
-    parser.add_argument(
-        "--shards", type=int, default=4, help="lock-table shard count"
-    )
     parser.add_argument(
         "--workload",
         choices=("cells", "partlib"),
@@ -44,7 +41,6 @@ def serve_main(argv=None) -> int:
 
     stack = make_service_stack(
         args.workload,
-        shards=args.shards,
         use_semantic_modes=args.semantic_modes,
     )
     server = LockServer(
@@ -57,8 +53,8 @@ def serve_main(argv=None) -> int:
     async def _serve():
         host, port = await server.start()
         print(
-            "repro-serve: %s workload, %d shards, listening on %s:%d"
-            % (args.workload, args.shards, host, port),
+            "repro-serve: %s workload, listening on %s:%d"
+            % (args.workload, host, port),
             flush=True,
         )
         assert server._server is not None

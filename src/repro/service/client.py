@@ -375,7 +375,7 @@ def workload_paths(workload: str) -> List[str]:
     from repro.graphs.units import object_resource
     from repro.service.server import make_service_stack
 
-    stack = make_service_stack(workload, shards=1)
+    stack = make_service_stack(workload)
     paths = []
     for relation in stack.database.relations():
         for obj in relation:
@@ -403,7 +403,7 @@ async def _client_loop(
     objects (mostly SLOCK, a ``write_ratio`` fraction XLOCK), END.
     Distinct objects per transaction keep re-demand pruning honest — a
     transaction never re-locks a node it already covered, so every
-    demand does real shard work.
+    demand does real lock-table work.
     """
     rng = random.Random(seed)
     client = await ServiceClient(

@@ -1,8 +1,9 @@
-"""The asyncio lock server: text and binary wire protocols over a sharded
-lock stack.
+"""The asyncio lock server: text and binary wire protocols over one lock
+stack.
 
-One :class:`LockServer` owns a :class:`~repro.LockStack` whose manager is
-a :class:`~repro.service.sharded.ShardedLockManager`.  Clients start in
+One :class:`LockServer` owns a :class:`~repro.LockStack` and drives its
+one :class:`~repro.locking.manager.LockManager` — the paper's single lock
+manager (section 4.1), one lock table.  Clients start in
 the line protocol (one request line, one response line, UTF-8):
 
     START <txn>
@@ -56,26 +57,28 @@ Concurrency model: one process, one single-threaded event loop, and
 every lock-table mutation synchronous — so nothing needs a mutex.  Each
 frame is dispatched synchronously on the read loop, in arrival order,
 until it finishes or parks.  A lock frame submits its whole plan with
-one ``manager.acquire_many`` call (the manager alone cuts it into
-per-shard runs); at most the last returned request is WAITING, in which
-case the frame parks: its grant future is registered and the detector
+one ``manager.acquire_many`` call, one pass over the lock table; at most
+the last returned request is WAITING, in which case the frame parks: its
+grant future is registered and the detector
 nudged before control returns to the read loop, and only then does its
 continuation run as a task — or, on the text path, get awaited in
 place.  Once granted it resumes with the steps after the blocked one
 until the plan is exhausted.  An ``END`` whose own transaction still has
 parked frames parks the same way.
 Release, commit, abort, the timeout cancel and the deadlock detector's
-pass over the union waits-for graph are plain synchronous calls between
-two ``await`` points.
+pass over the waits-for graph are plain synchronous calls between two
+``await`` points.
 
 The manager's ``on_wake`` callback resolves a parked request's future
 when a release or cancellation grants it.  Responses already queued when
 a frame parks are flushed before it waits, so a pipelined batch never
-sits on completed answers while one frame waits.  A cross-shard deadlock
-detector task checks the union waits-for graph on an interval, nudged
-early whenever a request starts waiting; victims are aborted through
-the transaction manager with the bounded-retry pattern of the fault
-harness.
+sits on completed answers while one frame waits.  A deadlock detector
+task checks the waits-for graph on an interval, nudged early whenever a
+request starts waiting; victims end through
+:meth:`~repro.txn.manager.TransactionManager.kill`.  A victim whose kill
+raises keeps its locks, so it goes on a retry list: every later detector
+pass kills it again before looking for cycles, and :meth:`LockServer.
+stop` drains the list.
 
 Fault injection: the server fires ``service.frame`` before parsing every
 request frame (an injected error drops the connection — the mid-frame
@@ -121,7 +124,6 @@ from repro.locking.modes import (
     LockMode,
 )
 from repro.service import wire
-from repro.service.sharded import ShardedLockManager
 from repro.txn.transaction import TxnState
 
 #: Verbs that take <txn> <path> and run a lock plan.  The semantic verbs
@@ -171,13 +173,12 @@ def register_database_resources(interner, database) -> List[tuple]:
     return resources
 
 
-def make_service_stack(workload: str = "cells", shards: int = 4, **flags):
+def make_service_stack(workload: str = "cells", **flags):
     """A fresh served stack over one of the standard databases.
 
     ``workload`` picks the database: ``cells`` (the paper's figure-7
     robotics schema) or ``partlib`` (the part library of the check
-    workloads).  ``shards`` goes to the ShardedLockManager; remaining
-    flags are protocol ablation flags.
+    workloads).  ``flags`` are protocol ablation flags.
     """
     import repro
 
@@ -191,7 +192,7 @@ def make_service_stack(workload: str = "cells", shards: int = 4, **flags):
         database, catalog = build_cells_database(figure7=True)
     else:
         raise ValueError("unknown service workload %r" % (workload,))
-    return repro.make_stack(database, catalog, shards=shards, **flags)
+    return repro.make_stack(database, catalog, **flags)
 
 
 class _Session:
@@ -256,7 +257,7 @@ class _Conn:
 
 
 class LockServer:
-    """Serve a sharded lock stack over the text and binary protocols."""
+    """Serve a lock stack over the text and binary protocols."""
 
     def __init__(
         self,
@@ -268,8 +269,6 @@ class LockServer:
         max_frame: int = wire.DEFAULT_MAX_FRAME,
     ):
         manager = stack.manager
-        if not isinstance(manager, ShardedLockManager):
-            raise TypeError("LockServer requires a ShardedLockManager stack")
         self.stack = stack
         self.manager = manager
         self.host = host
@@ -297,6 +296,8 @@ class LockServer:
             "detector_delays": 0,
         }
         self._futures: Dict[LockRequest, asyncio.Future] = {}
+        #: deadlock victims whose kill raised, still holding their locks
+        self._failed_kills: List[object] = []
         self._server: Optional[asyncio.AbstractServer] = None
         self._detector_task: Optional[asyncio.Task] = None
         self._nudge: Optional[asyncio.Event] = None
@@ -346,6 +347,7 @@ class LockServer:
             except asyncio.CancelledError:
                 pass
             self._detector_task = None
+        self._retry_failed_kills()
         if self._server is not None:
             self._server.close()
             await self._server.wait_closed()
@@ -362,10 +364,8 @@ class LockServer:
         deterministic order, ready for export to binary clients over
         ``OP_RESOURCES``.
 
-        The table lives in a *server-private* interner — the shard
-        router keeps assigning its ids lazily on first touch, exactly
-        as PR 7 did, so shard routing (and every behavior downstream of
-        it) is identical whether or not a binary client ever connects.
+        The table lives in a *server-private* interner, so the wire ids
+        are the same whether or not a binary client ever connects.
         """
         for resource in register_database_resources(
             self._wire_ids, self.stack.database
@@ -1043,7 +1043,7 @@ class LockServer:
         finally:
             self._futures.pop(request, None)
 
-    # -- cross-shard deadlock detection ---------------------------------------
+    # -- deadlock detection ----------------------------------------------------
 
     async def _detector_loop(self):
         assert self._nudge is not None
@@ -1076,12 +1076,32 @@ class LockServer:
                 # are found late, never lost
                 self.stats["detector_delays"] += 1
                 return
+        self._retry_failed_kills()
         self.manager.detector.resolve(self._on_victim)
 
     def _on_victim(self, victim, cycle):
         self.stats["deadlock_victims"] += 1
         self._fail_victim_futures(victim, cycle)
-        self.stack.txns.kill(victim)
+        try:
+            self.stack.txns.kill(victim)
+        except Exception:
+            # its session entry is gone with ERR DEADLOCK, so neither END
+            # nor the disconnect cleanup reaches it: retry from here
+            self._failed_kills.append(victim)
+            raise
+
+    def _retry_failed_kills(self):
+        """Kill again every victim whose kill raised; one that raises
+        again stays on the list and is reported like the first failure."""
+        failed, self._failed_kills = self._failed_kills, []
+        for victim in failed:
+            try:
+                self.stack.txns.kill(victim)
+            except Exception as exc:
+                self._failed_kills.append(victim)
+                self._loop.call_exception_handler(
+                    {"message": "deadlock victim kill failed", "exception": exc}
+                )
 
     def _fail_victim_futures(self, victim, cycle):
         names = tuple(getattr(txn, "name", repr(txn)) for txn in cycle)

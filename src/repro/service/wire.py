@@ -17,13 +17,13 @@ upgrade (the text protocol stays as the debug/fallback path):
 * ``correlation id`` is echoed verbatim on the response, which is what
   makes pipelining safe: a client may keep N requests in flight and
   match responses by id.  The server *begins* a connection's frames in
-  arrival order, but a frame that waits (a parked lock, modelled shard
-  latency) no longer blocks the frames behind it, so responses may
+  arrival order, but a frame that waits (a parked lock) no longer
+  blocks the frames behind it, so responses may
   complete out of order — the id, not the position, names the request.
 
-Resources travel as **dense interned ids** — the same append-only
-:class:`~repro.nf2.surrogate.ResourceInterner` codes the shard router
-uses — so the hot path never re-parses a path string.  Clients learn
+Resources travel as **dense interned ids** — append-only
+:class:`~repro.nf2.surrogate.ResourceInterner` codes — so the hot path
+never re-parses a path string.  Clients learn
 the id table with ``OP_RESOURCES`` after the upgrade and extend it on
 demand with ``OP_INTERN``.
 

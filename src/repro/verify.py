@@ -379,84 +379,58 @@ def check_group_mode(manager) -> List[Violation]:
 
     The lock table answers "is this mode compatible with every holder?"
     from ``entry.held`` alone, so a count that drifted from
-    ``entry.granted`` is a wrong grant waiting to happen.  Walks the real
-    tables behind the manager (its shards, or its one table).
+    ``entry.granted`` is a wrong grant waiting to happen.
     """
     out: List[Violation] = []
-    for table in getattr(manager, "shards", None) or [manager.table]:
-        for resource, entry in table._entries.items():
-            recount = sum(HELD_UNIT[held.code] for held in entry.granted.values())
-            if entry.held != recount:
-                out.append(
-                    Violation(
-                        "group-mode",
-                        None,
-                        resource,
-                        "packed holder counts %#x, holders recount to %#x"
-                        % (entry.held, recount),
-                    )
+    for resource, entry in manager.table._entries.items():
+        recount = sum(HELD_UNIT[held.code] for held in entry.granted.values())
+        if entry.held != recount:
+            out.append(
+                Violation(
+                    "group-mode",
+                    None,
+                    resource,
+                    "packed holder counts %#x, holders recount to %#x"
+                    % (entry.held, recount),
                 )
+            )
     return out
 
 
 def check_held_index(manager) -> List[Violation]:
     """The per-transaction indexes must agree with the entries.
 
-    On every real table behind the manager (its shards, or its one
-    table): ``_txn_modes[txn][r]`` is ``entry.granted[txn].mode``;
-    ``_txn_resources[txn]`` lists exactly the resources ``txn`` holds;
-    ``_txn_waiting[txn]`` holds exactly ``txn``'s queued requests, in
-    enqueue order; no empty entry stays in ``_entries``.  A sharded
-    manager's global grant-order index must cover the same resources,
-    and each shard's owned order must be that order restricted to the
-    shard.
+    ``_txn_modes[txn]`` maps exactly the resources ``txn`` holds to
+    ``entry.granted[txn].mode``; ``_txn_waiting[txn]`` holds exactly
+    ``txn``'s queued requests, in enqueue order; no empty entry stays in
+    ``_entries``.
     """
     out: List[Violation] = []
 
     def flag(txn, resource, detail):
         out.append(Violation("held-index", txn, resource, detail))
 
-    global_order = getattr(manager, "_txn_order", None)
-    owned_anywhere: Dict[object, set] = {}
-    for table in getattr(manager, "shards", None) or [manager.table]:
-        holders: Dict[object, Dict[object, object]] = {}
-        queued: Dict[object, set] = {}
-        for resource, entry in table._entries.items():
-            if entry.empty():
-                flag(None, resource, "empty entry kept")
-            for txn, held in entry.granted.items():
-                holders.setdefault(txn, {})[resource] = held.mode
-            for request in list(entry.conversions) + list(entry.queue):
-                queued.setdefault(request.txn, set()).add(request)
-        for txn in set(holders) | set(table._txn_modes):
-            summary = table._txn_modes.get(txn, {})
-            if summary != holders.get(txn, {}):
-                flag(txn, None, "held-mode summary %r, entries hold %r"
-                     % (summary, holders.get(txn, {})))
-        for txn in set(holders) | set(table._txn_resources):
-            owned = list(table._txn_resources.get(txn, ()))
-            owned_anywhere.setdefault(txn, set()).update(owned)
-            held = holders.get(txn, {})
-            if not owned or set(owned) != set(held):
-                flag(txn, None, "owned index %r, entries hold %r"
-                     % (owned, list(held)))
-            elif global_order is not None:
-                expected = [r for r in global_order.get(txn, ()) if r in held]
-                if owned != expected:
-                    flag(txn, None, "shard owned order %r, global order %r"
-                         % (owned, expected))
-        for txn in set(queued) | set(table._txn_waiting):
-            waiting = list(table._txn_waiting.get(txn, ()))
-            stamps = [request.enqueued_at for request in waiting]
-            if not waiting or set(waiting) != queued.get(txn, set()):
-                flag(txn, None, "waiting index %r, queued %r"
-                     % (waiting, list(queued.get(txn, ()))))
-            elif stamps != sorted(stamps):
-                flag(txn, None, "waiting index out of enqueue order")
-    if global_order is not None:
-        for txn in set(owned_anywhere) | set(global_order):
-            order = list(global_order.get(txn, ()))
-            if set(order) != owned_anywhere.get(txn, set()):
-                flag(txn, None, "global grant order %r, shards own %r"
-                     % (order, list(owned_anywhere.get(txn, ()))))
+    table = manager.table
+    holders: Dict[object, Dict[object, object]] = {}
+    queued: Dict[object, set] = {}
+    for resource, entry in table._entries.items():
+        if entry.empty():
+            flag(None, resource, "empty entry kept")
+        for txn, held in entry.granted.items():
+            holders.setdefault(txn, {})[resource] = held.mode
+        for request in list(entry.conversions) + list(entry.queue):
+            queued.setdefault(request.txn, set()).add(request)
+    for txn in set(holders) | set(table._txn_modes):
+        summary = table._txn_modes.get(txn)
+        if not summary or summary != holders.get(txn, {}):
+            flag(txn, None, "held-mode summary %r, entries hold %r"
+                 % (summary, holders.get(txn, {})))
+    for txn in set(queued) | set(table._txn_waiting):
+        waiting = list(table._txn_waiting.get(txn, ()))
+        stamps = [request.enqueued_at for request in waiting]
+        if not waiting or set(waiting) != queued.get(txn, set()):
+            flag(txn, None, "waiting index %r, queued %r"
+                 % (waiting, list(queued.get(txn, ()))))
+        elif stamps != sorted(stamps):
+            flag(txn, None, "waiting index out of enqueue order")
     return out

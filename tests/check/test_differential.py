@@ -110,11 +110,11 @@ class TestAblations:
         theirs = ours[:4] + (("req", "wait"),)
         with pytest.raises(CheckError) as caught:
             assert_ablations_agree(
-                {"single-table": (same, ours), "shards=4": (same, theirs)}
+                {"cached": (same, ours), "uncached": (same, theirs)}
             )
         message = str(caught.value)
         assert "schedule #1 (choices (1, 0)), lock trace[1]" in message
-        assert "'grant' under single-table but 'wait' under shards=4" in message
+        assert "'grant' under cached but 'wait' under uncached" in message
 
     def test_naive_mode_tables_patch_and_restore(self):
         import repro.locking.lock_table as lock_table

@@ -106,7 +106,6 @@ class TestFlagInvisibleOnClassicWorkloads:
             max_steps=60,
             ablations=False,
             plan_cache=False,
-            sharding=False,
         )
         assert summary["semantic_modes_schedules"] >= 2
 
@@ -121,7 +120,6 @@ class TestFlagInvisibleOnClassicWorkloads:
             max_steps=200,
             ablations=False,
             plan_cache=False,
-            sharding=False,
         )
         assert "semantic_modes_schedules" not in summary
 

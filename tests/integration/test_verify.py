@@ -167,7 +167,9 @@ class TestBrokenStates:
         if forge == "summary":
             table._txn_modes["a"][resource] = X
         elif forge == "owned":
-            del table._txn_resources["a"][resource]
+            # the summary's keys are the owned index: a held resource
+            # missing from them would escape release_all
+            del table._txn_modes["a"][resource]
         elif forge == "waiting":
             table._txn_waiting["a"] = {}
         else:

@@ -1,10 +1,10 @@
 """The one-step uncontended lifecycle: fresh-entry grants and one-pass EOT
-release, on the single table and the sharded manager —
-pinned scenarios, then a differential over random scripts.
+release — pinned scenarios, then random scripts against the manager's
+``on_wake`` hook.
 
 EOT release walks the transaction's grants in first-grant order, then the
 resources it only waits on in enqueue order — never in an order that
-depends on memory addresses or on which shard owns a resource.
+depends on memory addresses.
 """
 
 import pytest
@@ -13,8 +13,8 @@ from hypothesis import strategies as st
 
 from repro.errors import LockConflictError, LockError
 from repro.locking.lock_table import LockTable, RequestStatus
+from repro.locking.manager import LockManager
 from repro.locking.modes import CLASSIC_MODES, IS, IX, S, X
-from repro.service.sharded import ShardedLockManager
 from repro.verify import check_held_index
 
 R1, R2 = ("r1",), ("r2",)
@@ -32,16 +32,8 @@ class _TableFront:
         self.cancel = table.cancel
 
 
-def _sharded():
-    manager = ShardedLockManager(n_shards=2)
-    # interned first, so r1 -> id 0 -> shard 0 and r2 -> id 1 -> shard 1
-    assert manager.shard_of(R1) != manager.shard_of(R2)
-    return manager
-
-
 FRONTS = {
     "object": lambda: _TableFront(LockTable()),
-    "sharded": _sharded,
 }
 
 
@@ -59,8 +51,7 @@ def test_waiting_only_resources_wake_in_enqueue_order(front, first, second):
     """T holds S on r1 and r2; B waits for X on both (``first`` enqueued
     first); C queues S on r1 and D on r2 behind B.  Releasing B cancels
     its waits in enqueue order, so the queue behind its first wait wakes
-    first — on every table kind, and on the sharded manager regardless of
-    which shard owns which resource."""
+    first, whichever resource was created first."""
     front.acquire("T", R1, S)
     front.acquire("T", R2, S)
     front.acquire("B", first, X)
@@ -101,18 +92,9 @@ def test_uncontended_lifecycle_leaves_nothing(front):
 
 def test_conflict_mid_plan_keeps_the_granted_prefix_releasable(front):
     """A ``wait=False`` conflict raises with the plan's prefix granted;
-    the abort path's ``release_all`` must find every granted lock — on
-    the sharded manager too when the prefix was granted inside the
-    per-shard run that raised."""
+    the abort path's ``release_all`` must find every granted lock."""
     front.acquire("o", R2, X)
     steps = [(R1, S), (R2, S)]
-    if isinstance(front, ShardedLockManager):
-        # both steps on one shard: the prefix is granted inside the run
-        # that raises
-        same = [("s%d" % i,) for i in range(8)]
-        same = [r for r in same if front.shard_of(r) == front.shard_of(R2)]
-        front.acquire("o", same[1], X)
-        steps = [(same[0], S), (same[1], S)]
     with pytest.raises(LockConflictError):
         front.acquire_many("t", steps, wait=False)
     _audit(front)
@@ -168,7 +150,7 @@ def test_enqueue_fault_fires_before_the_entry_exists(kind):
     assert check_held_index(_TableFront(table)) == []
 
 
-# -- differential: random scripts against both ---------------------------------
+# -- random scripts: the on_wake hook -------------------------------------------
 
 RESOURCES = [("db",), ("db", "a"), ("db", "a", "o1"), ("db", "b"), ("db", "b", "o2")]
 TXNS = ["t%d" % i for i in range(4)]
@@ -178,7 +160,7 @@ _MODE = st.integers(0, len(CLASSIC_MODES) - 1)
 
 # (kind, txn, resource, mode, long / keep_long, wait, request_many plan);
 # each kind reads the fields it needs.  Waiting is the common case, so
-# transactions pile up waits on several resources (and shards).
+# transactions pile up waits on several resources.
 SCRIPTS = st.lists(
     st.tuples(
         st.sampled_from(
@@ -197,76 +179,51 @@ SCRIPTS = st.lists(
     max_size=60,
 )
 
-COUNTERS = ("requests", "immediate_grants", "waits", "conflict_tests")
 
-
-def _described(requests):
-    return [(r.txn, r.resource, r.mode, r.target_mode, r.status) for r in requests]
-
-
-def _apply(front, op, waiting):
-    """Run one script step; returns what a caller observes of it."""
+def _apply(manager, op, waiting):
+    """Run one script step; returns what a ``release``, ``release_all``
+    or ``cancel`` woke (None for every other step)."""
     kind, t, r, m, flag, wait, steps = op
     txn, resource, mode = TXNS[t], RESOURCES[r], CLASSIC_MODES[m]
     try:
         if kind == "request":
-            request = front.acquire(txn, resource, mode, long=flag, wait=wait)
-            waiting.append(request)
-            return _described([request])
-        if kind == "request_many":
+            waiting.append(manager.acquire(txn, resource, mode, long=flag, wait=wait))
+        elif kind == "request_many":
             plan = [(RESOURCES[r], CLASSIC_MODES[m]) for r, m in steps]
-            requests = front.acquire_many(txn, plan, long=flag, wait=wait)
-            waiting.extend(requests)
-            return _described(requests)
-        if kind == "regrant":
-            held = front.table.held_mode(txn, resource)
-            if held is None:
-                return None
-            # a counted re-grant of the covered mode
-            return _described([front.acquire(txn, resource, held)])
-        if kind == "release":
-            return _described(front.release(txn, resource))
-        if kind == "release_all":
-            return _described(front.release_all(txn, keep_long=flag))
-        live = [w for w in waiting if w.status == RequestStatus.WAITING]
-        if not live:
-            return None
-        return _described(front.cancel(live[m % len(live)]))
-    except (LockConflictError, LockError) as exc:
-        return type(exc).__name__
+            waiting.extend(manager.acquire_many(txn, plan, long=flag, wait=wait))
+        elif kind == "regrant":
+            held = manager.held_mode(txn, resource)
+            if held is not None:
+                # a counted re-grant of the covered mode
+                manager.acquire(txn, resource, held)
+        elif kind == "release":
+            return manager.release(txn, resource)
+        elif kind == "release_all":
+            return manager.release_all(txn, keep_long=flag)
+        else:
+            live = [w for w in waiting if w.status == RequestStatus.WAITING]
+            if live:
+                return manager.cancel(live[m % len(live)])
+    except (LockConflictError, LockError):
+        pass
+    return None
 
 
-def _observed(front):
-    table = front.table
-    return {
-        "counters": [getattr(table, name) for name in COUNTERS],
-        "holders": [list(table.holders(r).items()) for r in RESOURCES],
-        "held": [[table.held_mode(t, r) for r in RESOURCES] for t in TXNS],
-        "waiting": [_described(table.waiting_requests_of(t)) for t in TXNS],
-        "edges": sorted(map(repr, table.waits_for_edges())),
-        "entries": len(table._entries),
-    }
-
-
-@given(script=SCRIPTS, routing=st.permutations(RESOURCES))
-@settings(max_examples=200, deadline=None)
-def test_tables_and_sharded_manager_agree(script, routing):
-    """Same outcomes, wake lists (in order), counters, holders, waits and
-    waits-for edges on ``LockTable`` and a 3-shard manager, with the
-    ``held-index`` audit clean after every step."""
-    plain = _TableFront(LockTable())
-    sharded = ShardedLockManager(n_shards=3)
-    for resource in routing:  # vary which shard owns which resource
-        sharded.shard_table(resource)
-    fronts = (plain, sharded)
-    waiting = {id(front): [] for front in fronts}
-    peak = 0  # the sharded facade sums per-shard high-water marks
+@given(script=SCRIPTS)
+@settings(max_examples=60, deadline=None)
+def test_on_wake_reports_each_waking_call_once(script):
+    """``on_wake`` is called once by every ``release``, ``release_all``
+    and ``cancel`` that wakes someone, with the very list the call
+    returns (wake order), and never with an empty list; nothing else
+    calls it.  The ``held-index`` audit stays clean after every step."""
+    manager = LockManager()
+    calls = []
+    manager.on_wake = calls.append
+    waiting = []
     for op in script:
-        results = [_apply(front, op, waiting[id(front)]) for front in fronts]
-        assert results[1] == results[0], op
-        states = [_observed(front) for front in fronts]
-        assert states[1] == states[0], op
-        peak = max(peak, states[1]["entries"])
-        assert peak == plain.table.max_entries
-        for front in fronts:
-            _audit(front)
+        before = len(calls)
+        woken = _apply(manager, op, waiting)
+        assert calls[before:] == ([woken] if woken else []), op
+        if woken:
+            assert calls[-1] is woken
+        _audit(manager)

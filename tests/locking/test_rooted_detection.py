@@ -22,7 +22,6 @@ from repro.locking.escalation import Escalator, children_held
 from repro.locking.lock_table import LockTable, RequestStatus
 from repro.locking.manager import LockManager
 from repro.locking.modes import CLASSIC_MODES, MODES_BY_CODE, S, X, compatible
-from repro.service.sharded import ShardedLockManager
 
 PARENT = ("db", "rel")
 RESOURCES = [PARENT] + [PARENT + ("c%d" % i,) for i in range(3)]
@@ -30,7 +29,6 @@ TXNS = ["t%d" % i for i in range(5)]
 
 MANAGERS = {
     "single": lambda bypass: LockManager(reader_bypass=bypass),
-    "sharded": lambda bypass: ShardedLockManager(n_shards=3, reader_bypass=bypass),
 }
 
 # (kind, txn index, resource index, mode index, discipline)
@@ -54,26 +52,25 @@ ACTIONS = st.lists(
 
 def reference_edges(manager):
     """The waits-for edges straight from the definition, one
-    ``compatible()`` call per pair and no memo (table order: shard by
-    shard, entry by entry, conversions before the queue)."""
+    ``compatible()`` call per pair and no memo (table order: entry by
+    entry, conversions before the queue)."""
     edges = []
-    for table in getattr(manager, "shards", None) or [manager.table]:
-        for entry in table._entries.values():
-            for request in entry.conversions:
-                for txn, held in entry.granted.items():
-                    if txn != request.txn and not compatible(
-                        held.mode, request.target_mode
-                    ):
-                        edges.append((request.txn, txn))
-            ahead = list(entry.conversions)
-            for request in entry.queue:
-                for txn, held in entry.granted.items():
-                    if not compatible(held.mode, request.target_mode):
-                        edges.append((request.txn, txn))
-                for earlier in ahead:
-                    if not compatible(earlier.target_mode, request.target_mode):
-                        edges.append((request.txn, earlier.txn))
-                ahead.append(request)
+    for entry in manager.table._entries.values():
+        for request in entry.conversions:
+            for txn, held in entry.granted.items():
+                if txn != request.txn and not compatible(
+                    held.mode, request.target_mode
+                ):
+                    edges.append((request.txn, txn))
+        ahead = list(entry.conversions)
+        for request in entry.queue:
+            for txn, held in entry.granted.items():
+                if not compatible(held.mode, request.target_mode):
+                    edges.append((request.txn, txn))
+            for earlier in ahead:
+                if not compatible(earlier.target_mode, request.target_mode):
+                    edges.append((request.txn, earlier.txn))
+            ahead.append(request)
     return edges
 
 

@@ -4,11 +4,11 @@
 per-entry blockers memo, and ``first_cycle`` searches it; the reference is
 ``reference_edges`` (the edges from the definition, no memo) turned into
 nodes and adjacency here, and a textbook recursive search over it.  The
-differential drives the single and 3-shard managers through
-requests, conversions, releases, cancels and aborts, with and without
-``reader_bypass``, under two disciplines: on-wait (one outstanding request
-per transaction) and served (a waiting transaction goes on requesting, so
-it waits at several entries, and on several shards).  After every action
+differential drives the lock manager through requests, conversions,
+releases, cancels and aborts, with and without ``reader_bypass``, under
+two disciplines: on-wait (one outstanding request per transaction) and
+served (a waiting transaction goes on requesting, so it waits at several
+entries).  After every action
 the graph, its cycle and the detector's full pass must equal the
 reference, and no list the graph handed out may have been written.
 """
@@ -107,8 +107,7 @@ def assert_graph_agrees(manager, handed_out):
     cycle = reference_cycle(edges)
     assert first_cycle(nodes, adjacency) == cycle
     assert find_cycle(edges) == cycle
-    for table in getattr(manager, "shards", None) or [manager.table]:
-        memo_is_fresh(table)
+    memo_is_fresh(manager.table)
     lists = list(adjacency.values())
     handed_out.append((lists, [list(blockers) for blockers in lists]))
     return cycle
@@ -173,8 +172,8 @@ def test_search_follows_edge_order_below_the_start():
 
 @pytest.mark.parametrize("kind", sorted(MANAGERS))
 def test_several_waits_concatenate_in_edge_order(kind):
-    """One transaction waiting at three entries (on three shards when
-    sharded): its adjacency is the concatenation, in edge order."""
+    """One transaction waiting at three entries: its adjacency is the
+    concatenation, in edge order."""
     manager = MANAGERS[kind](False)
     for i, resource in enumerate(RESOURCES[:3]):
         manager.acquire("h%d" % i, resource, X)
@@ -182,8 +181,6 @@ def test_several_waits_concatenate_in_edge_order(kind):
     nodes, adjacency = manager.table.waits_for_graph()
     assert (nodes, adjacency) == reference_graph(reference_edges(manager))
     assert sorted(adjacency["w"]) == ["h0", "h1", "h2"]
-    if kind == "sharded":
-        assert len({manager.shard_of(r) for r in RESOURCES[:3]}) > 1
 
 
 @pytest.mark.parametrize("kind", sorted(MANAGERS))

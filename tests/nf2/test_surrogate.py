@@ -99,11 +99,12 @@ def assert_interner_stable(interner, seen):
 
 
 class TestInternerTraceProperty:
-    """A sharded manager routes every resource by its router id, so an id
-    that moved would move a held lock to another shard.  Random operation
-    traces (inserts, deletes, replacement, component writes, undo on
-    abort) must leave every id ever observed mapped to the resource that
-    produced it."""
+    """The binary wire names every resource by its interned id, so an id
+    that moved would rename a resource under a connected client.  Random
+    operation traces (inserts, deletes, replacement, component writes,
+    undo on abort), with every resource a transaction locks interned as
+    it goes, must leave every id ever observed mapped to the resource
+    that produced it."""
 
     @given(trace_ops)
     @settings(
@@ -113,10 +114,10 @@ class TestInternerTraceProperty:
     )
     def test_ids_stable_after_any_trace(self, trace):
         database, catalog = build_cells_database(figure7=True)
-        stack = repro.make_stack(database, catalog, shards=2)
+        stack = repro.make_stack(database, catalog)
         stack.authorization.grant_modify("w", "cells")
         stack.authorization.grant_modify("w", "effectors")
-        interner = stack.manager.router
+        interner = ResourceInterner()
         seen = snapshot(interner)
 
         for action, key_n, value_n, commit in trace:
@@ -166,7 +167,9 @@ class TestInternerTraceProperty:
                 assert_interner_stable(interner, seen)
                 assert check_held_index(stack.manager) == []
                 continue
-            # mid-transaction: locks held on their routed shards
+            # mid-transaction: intern what the transaction locked
+            for resource in stack.manager.locks_of(txn):
+                interner.intern(resource)
             assert check_held_index(stack.manager) == []
             if commit:
                 stack.txns.commit(txn)

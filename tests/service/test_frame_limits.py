@@ -20,7 +20,7 @@ MAX_FRAME = 256
 def serve_and_run(coro_fn):
     async def go():
         server = LockServer(
-            make_service_stack("partlib", shards=4),
+            make_service_stack("partlib"),
             port=0,
             max_frame=MAX_FRAME,
         )

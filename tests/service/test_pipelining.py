@@ -26,7 +26,7 @@ M2 = "db1/seg_materials/materials/m2"
 def serve(**kwargs):
     kwargs.setdefault("port", 0)
     kwargs.setdefault("detector_interval", 0.05)
-    return LockServer(make_service_stack("partlib", shards=4), **kwargs)
+    return LockServer(make_service_stack("partlib"), **kwargs)
 
 
 class TestPipelinedDispatch:
@@ -227,10 +227,10 @@ class TestParkAndWake:
 
 
 class TestServedDeadlock:
-    def test_cross_shard_cycle_kills_the_highest_name(self):
+    def test_crossed_demands_kill_the_highest_name(self):
         """t1 and t2 cross their demands on p1/p2 over two binary
-        connections; the detector finds the cycle across the shard
-        tables.  The server installs no age function, so every
+        connections; the detector finds the cycle.  The server installs
+        no age function, so every
         transaction is equally old and ``pick_victim`` falls through to
         its tie-break: the highest name dies (t2), not "the youngest".
         The survivor inherits the grant, and the victim's END finds its
@@ -281,7 +281,7 @@ class TestPipelinedLoad:
 
         async def go():
             server = LockServer(
-                make_service_stack("partlib", shards=2),
+                make_service_stack("partlib"),
                 port=0,
                 lock_timeout=1.0,
             )

@@ -17,12 +17,12 @@ from repro.service.client import ServiceClient, workload_paths
 from repro.service.server import LockServer, make_service_stack
 
 
-def run_transcript(script, workload="partlib", shards=4, **server_kwargs):
+def run_transcript(script, workload="partlib", **server_kwargs):
     """Feed request frames over one connection; pin each response."""
 
     async def go():
         server = LockServer(
-            make_service_stack(workload, shards=shards), port=0, **server_kwargs
+            make_service_stack(workload), port=0, **server_kwargs
         )
         host, port = await server.start()
         client = await ServiceClient(host, port).connect()
@@ -73,14 +73,13 @@ class TestHappyPaths:
 
     def test_stats_is_served(self):
         async def go():
-            server = LockServer(make_service_stack("partlib", shards=2), port=0)
+            server = LockServer(make_service_stack("partlib"), port=0)
             host, port = await server.start()
             client = await ServiceClient(host, port).connect()
             try:
                 await client.start("t")
                 await client.slock("t", "db1/seg_materials/materials/m2")
                 stats = await client.stats()
-                assert stats["shards"] == 2
                 assert stats["frames"] >= 2
                 assert stats["lock_count"] > 0
                 await client.end("t")
@@ -131,7 +130,7 @@ class TestErrorFrames:
         from repro.nf2.database import make_tuple
 
         async def go():
-            stack = make_service_stack("partlib", shards=2)
+            stack = make_service_stack("partlib")
             server = LockServer(stack, port=0)
             host, port = await server.start()
             client = await ServiceClient(host, port).connect()
@@ -219,29 +218,15 @@ def _holders(server, path):
     return {txn.name: mode for txn, mode in holders.items()}
 
 
-def _same_shard_pair(manager):
-    """Two object paths ``manager`` routes to one shard."""
-    seen = {}
-    for path in workload_paths("partlib"):
-        shard = manager.shard_of(tuple(path.split("/")))
-        if shard in seen:
-            return seen[shard], path
-        seen[shard] = path
-
-
 @pytest.mark.parametrize("binary", [False, True], ids=["text", "binary"])
-@pytest.mark.parametrize("shards", [1, 4])
 class TestResumeAfterWait:
     """A plan that waits mid-way resumes with the steps after the
-    blocked one: ``OK GRANTED`` means every step is covered or granted,
-    whichever shard the blocked step and its successors live on."""
+    blocked one: ``OK GRANTED`` means every step is covered or granted."""
 
     @staticmethod
-    def _serve(shards, binary, scenario):
+    def _serve(binary, scenario):
         async def go():
-            server = LockServer(
-                make_service_stack("partlib", shards=shards), port=0
-            )
+            server = LockServer(make_service_stack("partlib"), port=0)
             host, port = await server.start()
             clients = [
                 await ServiceClient(host, port, binary=binary).connect()
@@ -266,9 +251,7 @@ class TestResumeAfterWait:
         assert server.manager.metrics()["waits"] == waits
         assert not task.done()
 
-    def test_blocked_intention_step_still_reaches_the_object(
-        self, shards, binary
-    ):
+    def test_blocked_intention_step_still_reaches_the_object(self, binary):
         async def scenario(server, a, b, c):
             assert await a.start("t1") == "OK STARTED t1"
             assert await a.slock("t1", MATERIALS) == (
@@ -288,18 +271,16 @@ class TestResumeAfterWait:
                 "ERR CONFLICT t3 %s" % M1
             )
 
-        self._serve(shards, binary, scenario)
+        self._serve(binary, scenario)
 
     @pytest.mark.parametrize("waits", [1, 2])
-    def test_steps_after_a_blocked_one_on_its_shard(
-        self, shards, binary, waits
-    ):
-        """``first:X,second:X`` routed to one shard with ``first`` held
-        by t1 — and, for two waits, ``second`` by t3, the holders ending
-        one after the other."""
+    def test_steps_after_a_blocked_one_resume(self, binary, waits):
+        """``first:X,second:X`` with ``first`` held by t1 — and, for two
+        waits, ``second`` by t3, the holders ending one after the
+        other."""
 
         async def scenario(server, a, b, c):
-            first, second = _same_shard_pair(server.manager)
+            first, second = workload_paths("partlib")[:2]
             await a.start("t1")
             await a.acquire_many("t1", [(first, "X")])
             if waits == 2:
@@ -323,7 +304,7 @@ class TestResumeAfterWait:
             # no counter moved for a step that was already granted
             assert server.manager.metrics()["requests"] == 2 + waits
 
-        self._serve(shards, binary, scenario)
+        self._serve(binary, scenario)
 
 
 class TestCompatibilityMatrixOverTheWire:
@@ -333,7 +314,7 @@ class TestCompatibilityMatrixOverTheWire:
         modes = [IS, IX, S, SIX, X]
 
         async def go():
-            server = LockServer(make_service_stack("partlib", shards=4), port=0)
+            server = LockServer(make_service_stack("partlib"), port=0)
             host, port = await server.start()
             a = await ServiceClient(host, port).connect()
             b = await ServiceClient(host, port).connect()

@@ -30,14 +30,12 @@ from repro.service.client import ServiceClient
 from repro.service.server import LockServer, make_service_stack
 
 
-def run_transcript(script, semantic=True, workload="partlib", shards=4):
+def run_transcript(script, semantic=True, workload="partlib"):
     """Feed request frames over one connection; pin each response."""
 
     async def go():
         server = LockServer(
-            make_service_stack(
-                workload, shards=shards, use_semantic_modes=semantic
-            ),
+            make_service_stack(workload, use_semantic_modes=semantic),
             port=0,
         )
         host, port = await server.start()
@@ -135,9 +133,7 @@ class TestSemanticVerbsFlagOn:
     def test_binary_lock_and_modes_opcodes(self):
         async def go():
             server = LockServer(
-                make_service_stack(
-                    "partlib", shards=4, use_semantic_modes=True
-                ),
+                make_service_stack("partlib", use_semantic_modes=True),
                 port=0,
             )
             host, port = await server.start()
@@ -198,9 +194,7 @@ class TestSemanticModesFlagOff:
 
     def test_binary_semantic_codes_rejected(self):
         async def go():
-            server = LockServer(
-                make_service_stack("partlib", shards=4), port=0
-            )
+            server = LockServer(make_service_stack("partlib"), port=0)
             host, port = await server.start()
             client = await ServiceClient(host, port, binary=True).connect()
             try:
@@ -236,9 +230,7 @@ class TestExtendedCompatibilityMatrixOverTheWire:
 
         async def go():
             server = LockServer(
-                make_service_stack(
-                    "partlib", shards=4, use_semantic_modes=True
-                ),
+                make_service_stack("partlib", use_semantic_modes=True),
                 port=0,
             )
             host, port = await server.start()

@@ -2,10 +2,10 @@
 
 Wires the deterministic fault-injection subsystem through the asyncio
 server and asserts the invariant the whole PR rests on: after any fired
-fault — a client vanishing mid-frame, the cross-shard deadlock detector
-skipping a pass, a timeout or abort landing inside a batched
-ACQUIRE_MANY — :func:`repro.verify.audit` stays clean and no shard
-leaks a held lock, a waiter or a summary entry.
+fault — a client vanishing mid-frame, the deadlock detector skipping a
+pass, a timeout or abort landing inside a batched ACQUIRE_MANY, a
+deadlock victim whose kill fails — :func:`repro.verify.audit` stays
+clean and the lock table leaks no held lock, waiter or summary entry.
 """
 
 import asyncio
@@ -21,14 +21,13 @@ M2 = "db1/seg_materials/materials/m2"
 
 
 def assert_no_leaks(server):
-    """Audit + shard-by-shard leak sweep once every transaction ended."""
+    """Audit + leak sweep once every transaction ended."""
     assert audit(server.stack.protocol) == []
-    manager = server.manager
-    assert manager.lock_count() == 0
-    for shard in manager.shards:
-        assert not shard._txn_modes, "shard leaked a held-mode summary"
-        assert not shard._txn_waiting, "shard leaked a waiter index"
-        assert not shard.waiting_requests(), "shard leaked queued requests"
+    table = server.manager.table
+    assert table.lock_count() == 0
+    assert not table._txn_modes, "leaked a held-mode summary"
+    assert not table._txn_waiting, "leaked a waiter index"
+    assert not table.waiting_requests(), "leaked queued requests"
     assert not server._futures, "server leaked parked futures"
 
 
@@ -42,7 +41,7 @@ def arm(server, *specs):
 class TestMidFrameDisconnect:
     def test_disconnect_aborts_session_and_leaks_nothing(self):
         async def go():
-            server = LockServer(make_service_stack("partlib", shards=4), port=0)
+            server = LockServer(make_service_stack("partlib"), port=0)
             host, port = await server.start()
             # the 3rd frame of this connection never gets an answer:
             # the server drops the socket mid-frame instead
@@ -80,7 +79,7 @@ class TestMidFrameDisconnect:
         was cancelled before it ever ran."""
 
         async def go():
-            server = LockServer(make_service_stack("partlib", shards=4), port=0)
+            server = LockServer(make_service_stack("partlib"), port=0)
             host, port = await server.start()
             holder = await ServiceClient(host, port).connect()
             assert (await holder.start("h")).startswith("OK")
@@ -132,7 +131,7 @@ class TestDetectorDelay:
             # (plus one final interval tick), so the injected skip
             # verifiably delays the deadlock resolution
             server = LockServer(
-                make_service_stack("partlib", shards=4),
+                make_service_stack("partlib"),
                 port=0,
                 detector_interval=0.2,
                 lock_timeout=5.0,
@@ -167,50 +166,57 @@ class TestDetectorDelay:
 
 
 class TestFailedKill:
+    P1, P2 = "db1/seg_parts/parts/p1/name", "db1/seg_parts/parts/p2/name"
+
+    @staticmethod
+    def fail_three_aborts(monkeypatch, txns):
+        """Make the first three aborts raise — one whole ``kill`` — and
+        return the list of transactions they failed for."""
+        abort = txns.abort
+        failed = []
+
+        def failing_abort(txn):
+            if len(failed) < 3:
+                failed.append(txn)
+                raise RuntimeError("abort of %r failed" % (txn,))
+            return abort(txn)
+
+        monkeypatch.setattr(txns, "abort", failing_abort)
+        return failed
+
+    @staticmethod
+    async def cycle(host, port, names, paths):
+        """Two connections, each holding one path and then asking for the
+        other's; returns ``{frame task: (client, name)}``."""
+        ends = []
+        for name, path in zip(names, paths):
+            client = await ServiceClient(host, port).connect()
+            assert (await client.start(name)).startswith("OK")
+            assert (await client.xlock(name, path)).startswith("OK GRANTED")
+            ends.append((client, name))
+        frames = {}
+        for (client, name), path in zip(ends, reversed(paths)):
+            frames[asyncio.create_task(client.xlock(name, path))] = (client, name)
+            await asyncio.sleep(0.05)
+        return frames
+
     def test_detector_outlives_a_victim_it_cannot_kill(self, monkeypatch):
         """The first victim's abort fails on all three attempts, so its
-        kill re-raises inside the detector task.  The task lives on: a
-        later cycle is still broken, and ``stop()`` does not re-raise."""
-        P1, P2 = "db1/seg_parts/parts/p1/name", "db1/seg_parts/parts/p2/name"
+        kill re-raises inside the detector task.  The task lives on, and
+        its next pass kills the victim again: the survivor the leaked
+        locks blocked is granted, a later cycle is still broken, and the
+        server ends with no lock, wait or active transaction."""
 
         async def go():
-            server = LockServer(make_service_stack("partlib", shards=4), port=0)
+            server = LockServer(make_service_stack("partlib"), port=0)
             host, port = await server.start()
             reported = []
             asyncio.get_running_loop().set_exception_handler(
                 lambda loop, context: reported.append(context["exception"])
             )
-            txns = server.stack.txns
-            abort = txns.abort
-            failed = []
+            failed = self.fail_three_aborts(monkeypatch, server.stack.txns)
 
-            def failing_abort(txn):
-                if len(failed) < 3:
-                    failed.append(txn)
-                    raise RuntimeError("abort of %r failed" % (txn,))
-                return abort(txn)
-
-            monkeypatch.setattr(txns, "abort", failing_abort)
-
-            async def cycle(names, paths):
-                """Two connections, each holding one path and then asking
-                for the other's; returns ``{frame task: (client, name)}``."""
-                ends = []
-                for name, path in zip(names, paths):
-                    client = await ServiceClient(host, port).connect()
-                    assert (await client.start(name)).startswith("OK")
-                    assert (await client.xlock(name, path)).startswith("OK GRANTED")
-                    ends.append((client, name))
-                frames = {}
-                for (client, name), path in zip(ends, reversed(paths)):
-                    frames[asyncio.create_task(client.xlock(name, path))] = (
-                        client,
-                        name,
-                    )
-                    await asyncio.sleep(0.05)
-                return frames
-
-            first = await cycle("ab", (M1, M2))
+            first = await self.cycle(host, port, "ab", (M1, M2))
             done, parked = await asyncio.wait(
                 first, timeout=5, return_when=asyncio.FIRST_COMPLETED
             )
@@ -220,17 +226,19 @@ class TestFailedKill:
             assert [type(exc) for exc in reported] == [RuntimeError]
             assert not server._detector_task.done()
 
-            # kill cancelled the victim's wait before its abort failed: the
-            # first cycle is broken, the survivor waits on leaked locks
-            second = await cycle("cd", (P1, P2))
-            responses = await asyncio.wait_for(asyncio.gather(*second), 5)
-            assert sorted(r.split()[0] for r in responses) == ["ERR", "OK"]
-            assert server.stats["deadlock_victims"] == 2
-
-            txns.kill(failed[0])  # the abort works now
+            # no END and no disconnect reaches the victim: the retry does
             (survivor_frame,) = parked
             response = await asyncio.wait_for(survivor_frame, 5)
             assert response.startswith("OK GRANTED")
+            assert server._failed_kills == []
+            assert server.manager.locks_of(failed[0]) == {}
+
+            second = await self.cycle(host, port, "cd", (self.P1, self.P2))
+            responses = await asyncio.wait_for(asyncio.gather(*second), 5)
+            assert sorted(r.split()[0] for r in responses) == ["ERR", "OK"]
+            assert server.stats["deadlock_victims"] == 2
+            assert len(reported) == 1
+
             survivors = [first[survivor_frame]] + [
                 end
                 for frame, end in second.items()
@@ -242,7 +250,50 @@ class TestFailedKill:
                 await client.close()
             await asyncio.sleep(0.05)
             assert_no_leaks(server)
+            assert not server.stack.txns.active
             await server.stop()
+
+        asyncio.run(go())
+
+    def test_stop_drains_the_retry_list(self, monkeypatch):
+        """With no detector pass after the failed kill, ``stop()`` kills
+        the victim: its locks go to the survivor."""
+
+        async def go():
+            # passes run only on nudges: none follows the failed kill
+            server = LockServer(
+                make_service_stack("partlib"), port=0, detector_interval=60.0
+            )
+            host, port = await server.start()
+            reported = []
+            asyncio.get_running_loop().set_exception_handler(
+                lambda loop, context: reported.append(context["exception"])
+            )
+            failed = self.fail_three_aborts(monkeypatch, server.stack.txns)
+
+            frames = await self.cycle(host, port, "ab", (M1, M2))
+            done, parked = await asyncio.wait(
+                frames, timeout=5, return_when=asyncio.FIRST_COMPLETED
+            )
+            assert [frame.result().split()[0] for frame in done] == ["ERR"]
+            assert server._failed_kills == [failed[0]]
+            (survivor_frame,) = parked
+            await asyncio.sleep(0.1)
+            assert not survivor_frame.done()
+
+            # stop() may wait for open connections: run it beside them
+            stopping = asyncio.create_task(server.stop())
+            response = await asyncio.wait_for(survivor_frame, 5)
+            assert response.startswith("OK GRANTED")
+            assert server._failed_kills == []
+            assert [type(exc) for exc in reported] == [RuntimeError]
+            client, name = frames[survivor_frame]
+            assert (await client.end(name)).startswith("OK")
+            for client, _ in frames.values():
+                await client.close()
+            await asyncio.wait_for(stopping, 5)
+            assert_no_leaks(server)
+            assert not server.stack.txns.active
 
         asyncio.run(go())
 
@@ -250,7 +301,7 @@ class TestFailedKill:
 class TestFaultsInsideAcquireMany:
     def test_injected_timeout_mid_batch(self):
         async def go():
-            server = LockServer(make_service_stack("partlib", shards=2), port=0)
+            server = LockServer(make_service_stack("partlib"), port=0)
             host, port = await server.start()
             arm(server, FaultSpec("lock.enqueue", occurrence=2, action="timeout"))
             client = await ServiceClient(host, port).connect()
@@ -271,7 +322,7 @@ class TestFaultsInsideAcquireMany:
 
     def test_injected_abort_mid_batch(self):
         async def go():
-            server = LockServer(make_service_stack("partlib", shards=2), port=0)
+            server = LockServer(make_service_stack("partlib"), port=0)
             host, port = await server.start()
             arm(server, FaultSpec("lock.enqueue", occurrence=3, action="abort"))
             client = await ServiceClient(host, port).connect()
@@ -293,7 +344,7 @@ class TestFaultsInsideAcquireMany:
         lock traffic: whatever answered ERR, nothing may leak."""
 
         async def go():
-            server = LockServer(make_service_stack("partlib", shards=4), port=0)
+            server = LockServer(make_service_stack("partlib"), port=0)
             host, port = await server.start()
             arm(server, FaultSpec("lock.enqueue", every=5, action="abort"))
             client = await ServiceClient(host, port).connect()
