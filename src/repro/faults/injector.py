@@ -59,8 +59,11 @@ class FaultInjector:
         return self
 
     def install_protocol(self, protocol) -> "FaultInjector":
-        """Attach to a bare protocol + lock manager (no transaction
-        manager) — the wiring the simulator and benchmarks use."""
+        """Attach to a protocol and its lock manager only — the wiring
+        the simulator and benchmarks use.  A :class:`~repro.sim.Simulator`
+        builds its own transaction manager without an injector, so the
+        ``txn.*`` points stay silent and the ``lock.*`` faults reach its
+        commit and kill through the table."""
         protocol.manager.table.fault_injector = self
         protocol.manager.detector.fault_injector = self
         protocol.fault_injector = self

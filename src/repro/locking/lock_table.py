@@ -200,12 +200,8 @@ class LockTable:
         #: global wait-graph version: bumped with every entry change, so
         #: the deadlock detector can skip re-detection on a quiescent table
         self.wait_graph_version = 0
-        #: bumped on every held-mode summary write (grant, conversion,
-        #: release shrink, drop, clear) — batched pruning hoists its
-        #: summary-dict fetch once per batch and re-fetches only when this
-        #: stamp moved, instead of rebuilding the probe on every step
-        self.summary_version = 0
-        #: times a batched pass had to re-fetch its hoisted summary
+        #: batched passes that started with no summary and re-fetched it
+        #: after their first grant created it
         self.summary_rebuilds = 0
         #: stamps ``LockRequest.enqueued_at`` of every wait
         self._enqueue_seq = count()
@@ -269,6 +265,10 @@ class LockTable:
         """All waiting requests of one transaction (O(1) index lookup)."""
         return list(self._txn_waiting.get(txn, ()))
 
+    def owns_nothing(self, txn) -> bool:
+        """``txn`` holds no lock and waits on no request."""
+        return txn not in self._txn_modes and txn not in self._txn_waiting
+
     # -- wait-graph bookkeeping ----------------------------------------------
 
     def _touch(self, entry: _ResourceEntry):
@@ -326,18 +326,13 @@ class LockTable:
         """
         out: List[LockRequest] = []
         entries = self._entries
-        # Hoist the summary-dict fetch out of the loop: for a fully
-        # covered batch (the hot re-demand case) the held set never
-        # changes, so one fetch serves every step.  A grant inside the
-        # batch bumps ``summary_version``; only then is the probe
-        # re-fetched (counted in ``summary_rebuilds``).
+        # One summary fetch serves the whole batch: the dict keeps its
+        # identity while the transaction holds anything, and nothing
+        # outside this synchronous call can release its locks.  Only a
+        # transaction that held nothing re-fetches it, once, after the
+        # first grant created it (counted in ``summary_rebuilds``).
         modes = self._txn_modes.get(txn)
-        stamp = self.summary_version
         for resource, mode in steps:
-            if stamp != self.summary_version:
-                modes = self._txn_modes.get(txn)
-                stamp = self.summary_version
-                self.summary_rebuilds += 1
             if modes is not None:
                 held_mode = modes.get(resource)
                 if held_mode is not None and covers(held_mode, mode):
@@ -349,6 +344,9 @@ class LockTable:
             out.append(request)
             if request.status is not GRANTED:
                 break
+            if modes is None:
+                modes = self._txn_modes[txn]
+                self.summary_rebuilds += 1
         return out
 
     def _submit(
@@ -457,8 +455,7 @@ class LockTable:
         the wake order deterministic): each held grant leaves its entry,
         ``txn``'s waits there are cancelled, the entry's queue is
         processed only when it has one, and an emptied entry is retired
-        inline.  The held-mode summary is dropped once at the end, with
-        one ``summary_version`` bump.
+        inline.  The held-mode summary is dropped once at the end.
 
         With ``keep_long=True`` only short locks are dropped — used when a
         workstation transaction hands over to a long check-out lock; the
@@ -492,7 +489,7 @@ class LockTable:
             if not (entry.granted or entry.conversions or entry.queue):
                 del entries[resource]
         if not keep_long:
-            self._summary_clear(txn)
+            self._txn_modes.pop(txn, None)
         return woken
 
     def cancel(self, request: LockRequest) -> List[LockRequest]:
@@ -506,12 +503,6 @@ class LockTable:
                 request.status = RequestStatus.CANCELLED
                 self._dequeue_wait(request)
                 self._touch(entry)
-                # A timeout/victim cancellation can land while another
-                # transaction is mid-way through a batched acquire_many
-                # with its summary fetch hoisted; invalidate the stamp so
-                # the batch re-fetches rather than trusting state observed
-                # before the cancellation reshaped the queue.
-                self.summary_version += 1
             except ValueError:
                 pass
         woken = self._process_queue(entry)
@@ -780,7 +771,6 @@ class LockTable:
             self._txn_modes[txn] = {resource: mode}
         else:
             modes[resource] = mode
-        self.summary_version += 1
 
     def _summary_drop(self, txn, resource):
         modes = self._txn_modes.get(txn)
@@ -788,11 +778,6 @@ class LockTable:
             modes.pop(resource, None)
             if not modes:
                 del self._txn_modes[txn]
-        self.summary_version += 1
-
-    def _summary_clear(self, txn):
-        self._txn_modes.pop(txn, None)
-        self.summary_version += 1
 
     def _drop_grant(self, entry, txn, resource, held: _HeldLock):
         """Take ``txn``'s whole grant ``held`` on ``resource`` out of the
@@ -869,9 +854,6 @@ class LockTable:
                     request.status = RequestStatus.CANCELLED
                     self._dequeue_wait(request)
                     self._touch(entry)
-                    # see cancel(): a hoisted summary stamp taken before
-                    # this removal must not survive it
-                    self.summary_version += 1
 
     def _drop_if_empty(self, resource, entry):
         if entry.empty():

@@ -382,7 +382,6 @@ class ProtocolBase:
                 else 0.0
             ),
             "use_semantic_modes": self.use_semantic_modes,
-            "summary_rebuilds": self.manager.table.summary_rebuilds,
         }
         out.update(self.plan_cache.stats())
         return out

@@ -50,10 +50,6 @@ class SimulationMetrics:
         self.plan_cache_hits = 0
         self.plan_cache_misses = 0
         self.plan_cache_invalidations = 0
-        #: held-mode summary refetches forced mid-batch by grants; only
-        #: the served path batches (LockTable.request_many), and the
-        #: simulator executes plans step by step, so this stays 0
-        self.summary_rebuilds = 0
 
     # -- recording -------------------------------------------------------------
 
@@ -118,7 +114,6 @@ class SimulationMetrics:
             "plan_cache_hits": self.plan_cache_hits,
             "plan_cache_misses": self.plan_cache_misses,
             "plan_cache_invalidations": self.plan_cache_invalidations,
-            "summary_rebuilds": self.summary_rebuilds,
         }
 
     def __repr__(self):

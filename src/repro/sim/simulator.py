@@ -17,8 +17,9 @@ A program is a sequence of operations:
 * :class:`ThinkOp` — user think time (long, conversational transactions).
 
 Blocked transactions suspend; a lock release wakes the head waiters.
-Deadlocks are detected on every block, the youngest victim is aborted,
-rolled back and — by default — restarted after a backoff.  At commit all
+Deadlocks are detected on every block, the youngest victim is killed
+(:meth:`TransactionManager.kill`: waits cancelled, rolled back, locks
+released) and — by default — restarted after a backoff.  At commit all
 locks are released (strict 2PL, degree-3 consistency).
 """
 
@@ -37,7 +38,8 @@ from repro.locking.modes import LockMode
 from repro.sim.events import EventQueue
 from repro.sim.metrics import SimulationMetrics
 from repro.sim.retry import RetryPolicy
-from repro.txn.transaction import Transaction, TxnState
+from repro.txn.manager import TransactionManager
+from repro.txn.transaction import Transaction
 
 
 class LockOp:
@@ -177,6 +179,8 @@ class Simulator:
         self.protocol = protocol
         self.executor = executor
         self.manager = protocol.manager
+        #: begins, commits and kills every run's transaction
+        self.txns = TransactionManager(protocol)
         self.events = EventQueue()
         self.metrics = SimulationMetrics()
         self.lock_cost = lock_cost
@@ -193,6 +197,11 @@ class Simulator:
             )
         self.retry_policy = retry_policy
         self.deadlock_policy = deadlock_policy
+        #: the prevention policies' victim rule: blocked run -> runs to end
+        self._victims_of = {
+            "wait_die": self._wait_die,
+            "wound_wait": self._wound_wait,
+        }.get(deadlock_policy)
         #: when set, run the repro.verify auditor after every N commits
         #: and raise on the first violation (continuous self-checking for
         #: long experiment runs; costs time, off by default)
@@ -228,7 +237,6 @@ class Simulator:
         table = self.manager.table
         self.metrics.conflict_tests = table.conflict_tests
         self.metrics.max_lock_entries = table.max_entries
-        self.metrics.summary_rebuilds = table.summary_rebuilds
         self.metrics.locks_requested = self.protocol.locks_requested
         self.metrics.demands = self.protocol.demands
         cache = self.protocol.plan_cache
@@ -242,7 +250,7 @@ class Simulator:
     # -- lifecycle ------------------------------------------------------------------
 
     def _start(self, run: _TxnRun):
-        run.txn = Transaction(
+        run.txn = self.txns.begin(
             principal=run.principal, name=run.name, start_ts=run.birth_ts
         )
         if run.birth_ts is None:
@@ -270,7 +278,7 @@ class Simulator:
                 self.metrics.timeouts += 1
             if isinstance(exc, FaultInjected):
                 self.metrics.injected_faults += 1
-            self._abort(run)
+            self._end(run)
 
     def _advance_inner(self, run: _TxnRun):
         while True:
@@ -357,28 +365,17 @@ class Simulator:
             return True
         run.waiting_request = request
         run.wait_started_at = self.events.now
-        if self.deadlock_policy == "detect":
+        if self._victims_of is None:
             self.manager.detector.resolve(self._on_victim, run.txn)
-        elif self.deadlock_policy == "wait_die":
-            self._wait_die(run)
         else:
-            self._wound_wait(run)
+            for victim in self._victims_of(run):
+                self._end(victim)
         return False
 
-    def _release_all_resilient(self, txn) -> List[LockRequest]:
-        """Release with one retry: a single injected release fault must
-        not leave a finished transaction holding locks."""
-        try:
-            return self.manager.release_all(txn)
-        except (LockError, FaultInjected):
-            self.metrics.injected_faults += 1
-            return self.manager.release_all(txn)
-
     def _commit(self, run: _TxnRun):
-        # release *before* flipping state: if the release itself faults
-        # the transaction is still ACTIVE, so the abort path can clean up
-        woken = self._release_all_resilient(run.txn)
-        run.txn.state = TxnState.COMMITTED
+        # a failed release leaves the transaction ACTIVE and raises into
+        # _advance, which ends the run like any other forward-path fault
+        woken = self.txns.commit(run.txn)
         run.done = True
         self.metrics.txn_committed(
             response_time=self.events.now - run.submitted_at,
@@ -428,47 +425,39 @@ class Simulator:
             key=lambda txn: getattr(txn, "start_ts", 0),
         )
 
-    def _wait_die(self, run: _TxnRun):
+    def _wait_die(self, run: _TxnRun) -> List[_TxnRun]:
         """Wait-die prevention: a requester younger than a blocker dies
-        (aborts and restarts with its original timestamp)."""
+        (and restarts with its original timestamp).  Prevention aborts
+        count as aborts and restarts only: no cycle ever forms, so
+        ``deadlocks`` stays 0."""
         for blocker in self._blockers_of(run):
             if run.txn.start_ts > blocker.start_ts:
-                # prevention aborts are counted as aborts/restarts only;
-                # by construction no cycle ever forms, so deadlocks stay 0
-                self._abort(run)
-                return
+                return [run]
+        return []
 
-    def _wound_wait(self, run: _TxnRun):
+    def _wound_wait(self, run: _TxnRun) -> List[_TxnRun]:
         """Wound-wait prevention: an older requester wounds (aborts) every
         younger blocker; a younger requester simply waits."""
-        for blocker in list(self._blockers_of(run)):
-            if run.txn.start_ts < blocker.start_ts:
-                victim = self._by_txn.get(blocker)
-                if victim is not None:
-                    self._abort(victim)
+        return [
+            self._by_txn[blocker]
+            for blocker in self._blockers_of(run)
+            if run.txn.start_ts < blocker.start_ts and blocker in self._by_txn
+        ]
 
     def _on_victim(self, victim_txn, cycle):
-        """Count the deadlock; abort (and maybe restart) the victim's run."""
+        """Count the deadlock; end (and maybe restart) the victim's run."""
         self.metrics.deadlocks += 1
         victim = self._by_txn.get(victim_txn)
         if victim is None:
             raise SimulationError("deadlock victim %r unknown" % (victim_txn,))
-        self._abort(victim)
+        self._end(victim)
 
-    def _abort(self, run: _TxnRun):
-        # Not TransactionManager.kill: a run's transaction is never in
-        # ``txns.active``, so abort's "already done" test would turn the
-        # retry after a failed release into a silent lock leak.
-        run.txn.rollback_data()
-        run.txn.state = TxnState.ABORTED
-        woken_by_cancel: List[LockRequest] = []
-        if run.waiting_request is not None:
-            woken_by_cancel = self.manager.cancel(run.waiting_request)
-            run.waiting_request = None
+    def _end(self, run: _TxnRun):
+        """Kill the run's transaction, then restart or abandon the run."""
+        woken = self.txns.kill(run.txn)
         if run.wait_started_at is not None:
             run.waited += self.events.now - run.wait_started_at
             run.wait_started_at = None
-        woken = self._release_all_resilient(run.txn)
         self._by_txn.pop(run.txn, None)
         self.metrics.txn_aborted()
         attempt = run.restarts + 1
@@ -484,4 +473,4 @@ class Simulator:
             if run.on_done is not None:
                 callback, run.on_done = run.on_done, None
                 callback(run)
-        self._wake(woken_by_cancel + woken)
+        self._wake(woken)

@@ -16,13 +16,14 @@ tests and single-process examples.  Callers that let requests wait (the
 schedule oracle and the server) end a transaction that may still be
 waiting — a deadlock victim, an orphan of a dropped connection — with
 :meth:`TransactionManager.kill`, the one abort path for them.
-:mod:`repro.sim` keeps its own rollback and restart.
+:mod:`repro.sim` begins, commits and kills its runs through a manager of
+its own and keeps only the restart decision.
 """
 
 from __future__ import annotations
 
 import copy
-from typing import List
+from typing import Dict, List, Optional
 
 from repro.errors import TransactionError
 from repro.graphs.units import component_resource, object_resource, relation_resource
@@ -40,7 +41,9 @@ class TransactionManager:
         self.protocol = protocol
         self.catalog = protocol.catalog
         self.database = protocol.catalog.database
-        self.active: List[Transaction] = []
+        #: live transactions in begin order (a dict as an ordered set:
+        #: begin and end are O(1) however many are live)
+        self.active: Dict[Transaction, None] = {}
         self.committed = 0
         self.aborted = 0
         #: optional :class:`repro.faults.FaultInjector` (fires the
@@ -49,12 +52,19 @@ class TransactionManager:
 
     # -- lifecycle --------------------------------------------------------------
 
-    def begin(self, principal=None, long: bool = False, name=None) -> Transaction:
-        txn = Transaction(principal=principal, long=long, name=name)
-        self.active.append(txn)
+    def begin(
+        self,
+        principal=None,
+        long: bool = False,
+        name=None,
+        start_ts: Optional[float] = None,
+    ) -> Transaction:
+        txn = Transaction(principal=principal, long=long, name=name, start_ts=start_ts)
+        self.active[txn] = None
         return txn
 
-    def commit(self, txn: Transaction):
+    def commit(self, txn: Transaction) -> List[LockRequest]:
+        """Release and commit; returns the requests the release granted."""
         txn.ensure_active()
         # Rule 5: at EOT locks may be released in any order.  Long locks of
         # a long transaction survive (they belong to the check-out).
@@ -62,24 +72,28 @@ class TransactionManager:
         # injected fault, a broken lock backend) the transaction is still
         # ACTIVE with its undo log intact, so a clean abort remains
         # possible instead of a "committed" transaction holding locks.
-        self.protocol.release_all(txn, keep_long=txn.long)
+        woken = self.protocol.release_all(txn, keep_long=txn.long)
         txn.forget_undo()
         txn.state = TxnState.COMMITTED
         self._drop(txn)
         self.committed += 1
+        return woken
 
     def abort(self, txn: Transaction) -> List[LockRequest]:
         """Roll back and release; returns the requests the release granted.
 
-        Re-entrant: a fully aborted transaction (no undo work left, no
-        locks under management) is a no-op, but a *partially* aborted one
-        — an undo closure or the lock release raised mid-way — resumes
-        cleanup where the previous attempt stopped.
+        Re-entrant: a fully aborted transaction is a no-op, but a
+        *partially* aborted one — an undo closure or the lock release
+        raised mid-way — resumes cleanup where the previous attempt
+        stopped.  "Fully aborted" asks the lock table too (nothing held,
+        nothing waiting), so a transaction that never entered
+        :attr:`active` is not mistaken for done after a failed release.
         """
         if (
             txn.state == TxnState.ABORTED
             and txn.undo_depth() == 0
             and txn not in self.active
+            and self.protocol.manager.table.owns_nothing(txn)
         ):
             return []
         injector = self.fault_injector
@@ -97,7 +111,7 @@ class TransactionManager:
             txn.state = TxnState.ABORTED
             woken = self.protocol.release_all(txn, keep_long=False)
             if txn in self.active:
-                self.active.remove(txn)
+                del self.active[txn]
                 self.aborted += 1
         return woken
 
@@ -132,8 +146,7 @@ class TransactionManager:
         return woken
 
     def _drop(self, txn):
-        if txn in self.active:
-            self.active.remove(txn)
+        self.active.pop(txn, None)
 
     # -- reads ---------------------------------------------------------------------
 

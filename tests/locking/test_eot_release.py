@@ -119,15 +119,6 @@ def test_keep_long_releases_only_short_locks(front):
     _audit(front)
 
 
-def test_one_summary_bump_per_release_all():
-    table = LockTable()
-    for i in range(5):
-        table.request("t", ("r%d" % i,), S)
-    stamp = table.summary_version
-    table.release_all("t")
-    assert table.summary_version == stamp + 1
-
-
 class _RaiseOn:
     def __init__(self, point):
         self.point = point

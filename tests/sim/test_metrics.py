@@ -72,6 +72,6 @@ class TestAggregation:
             "demands", "locks_per_demand",
             "conflict_tests", "max_lock_entries", "scan_items",
             "plan_cache_hits", "plan_cache_misses",
-            "plan_cache_invalidations", "summary_rebuilds",
+            "plan_cache_invalidations",
         }
         assert expected == set(report)

@@ -117,8 +117,10 @@ class TestSimulatorUnderFaults:
         sim = Simulator(stack.protocol)
         sim.submit([LockOp(e1, X), WorkOp(1.0)], name="t0")
         metrics = sim.run()
+        # the fault fails the commit: the run is killed and restarted
+        assert metrics.injected_faults == 1
+        assert metrics.restarts == 1
         assert metrics.committed == 1
-        assert metrics.injected_faults == 1  # absorbed by the release retry
         assert stack.manager.lock_count() == 0
 
     def test_abandoned_runs_fire_on_done(self, stack):

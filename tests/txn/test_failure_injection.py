@@ -14,7 +14,7 @@ from repro.graphs.units import object_resource
 from repro.locking.lock_table import RequestStatus
 from repro.locking.modes import S, X
 from repro.nf2 import make_set, make_tuple
-from repro.txn.transaction import TxnState
+from repro.txn.transaction import Transaction, TxnState
 
 
 class TestAbortMidPlan:
@@ -296,3 +296,41 @@ class TestKill:
         assert len(injector.log) == 3
         self.assert_ended(stack, victim, waits, parked)
         assert victim.undo_depth() == 1  # the rollback never ran
+
+    def test_retried_kill_frees_a_transaction_never_begun(self, figure7_stack):
+        """A transaction built directly never enters ``txns.active``, so
+        only the lock table can tell the retry that its first, failed
+        release left work to do."""
+        stack = figure7_stack
+        txn = Transaction(name="direct")
+        assert stack.manager.acquire(txn, self.RA, X).granted
+        parked = stack.manager.acquire(stack.txns.begin(name="reader"), self.RA, S)
+        injector = FaultInjector(
+            FaultPlan([FaultSpec("lock.release", occurrence=1)])
+        ).install(stack)
+        assert stack.txns.kill(txn) == [parked]
+        assert len(injector.log) == 1
+        assert stack.manager.locks_of(txn) == {}
+        assert stack.manager.table.owns_nothing(txn)
+        assert stack.txns.aborted == 0  # it was never active
+
+    def test_release_fault_while_holding_nothing_counts_once(self, figure7_stack):
+        stack = figure7_stack
+        txn = stack.txns.begin(name="empty")
+        FaultInjector(FaultPlan([FaultSpec("lock.release", occurrence=1)])).install(
+            stack
+        )
+        with pytest.raises(FaultInjected):
+            stack.txns.abort(txn)
+        assert txn in stack.txns.active  # the release raised before the end
+        assert stack.txns.kill(txn) == []
+        assert txn not in stack.txns.active
+        assert stack.txns.aborted == 1
+
+    def test_second_kill_is_a_noop(self, figure7_stack):
+        stack = figure7_stack
+        victim, waits, parked = self.victim_waiting_twice(stack)
+        stack.txns.kill(victim)
+        assert stack.txns.kill(victim) == []
+        self.assert_ended(stack, victim, waits, parked)
+        assert stack.txns.aborted == 1
