@@ -41,38 +41,37 @@ tests/service/test_protocol_conformance.py for golden text transcripts
 and tests/service/test_wire_protocol.py plus
 tests/service/test_pipelining.py for the golden binary ones.
 
-Both protocols run through one connection loop over a self-managed
-growable buffer (no ``readline()``): complete frames are decoded in
-place, dispatched in FIFO order, and their responses coalesce into a
-single ``write()`` + ``drain()`` per ready-batch — the transport half of
-the wire-protocol speedup.  Binary responses are produced by rendering
-the *text* response first and re-framing it
-(:func:`~repro.service.wire.frame_for_response`), so the two protocols
-cannot drift.  An oversized frame (text line or binary header) earns a
-clean ``ERR FRAME_TOO_LONG`` reply and the connection stays up, where
-the old ``readline()`` path tore the session down with
-``LimitOverrunError``.
+Each connection is one :class:`asyncio.Protocol` over a growable
+buffer: ``data_received`` decodes the complete frames in place,
+dispatches them in FIFO order, and their responses coalesce into one
+``transport.write()`` per received batch.  Backpressure is the
+transport's: ``pause_writing`` pauses reading until ``resume_writing``.
+Binary responses are produced by rendering the *text* response first
+and re-framing it (:func:`~repro.service.wire.frame_for_response`), so
+the two protocols cannot drift.  An oversized frame (text line or binary
+header) earns a clean ``ERR FRAME_TOO_LONG`` reply and the connection
+stays up.
 
 Concurrency model: one process, one single-threaded event loop, and
 every lock-table mutation synchronous — so nothing needs a mutex.  Each
-frame is dispatched synchronously on the read loop, in arrival order,
-until it finishes or parks.  A lock frame submits its whole plan with
-one ``manager.acquire_many`` call, one pass over the lock table; at most
-the last returned request is WAITING, in which case the frame parks: its
-grant future is registered and the detector
-nudged before control returns to the read loop, and only then does its
-continuation run as a task — or, on the text path, get awaited in
-place.  Once granted it resumes with the steps after the blocked one
-until the plan is exhausted.  An ``END`` whose own transaction still has
-parked frames parks the same way.
-Release, commit, abort, the timeout cancel and the deadlock detector's
-pass over the waits-for graph are plain synchronous calls between two
+frame is dispatched synchronously in ``data_received``, in arrival
+order, until it finishes or parks.  A lock frame submits its whole plan
+with one ``manager.acquire_many`` call; at most the last returned
+request is WAITING, in which case the frame parks: its grant future is
+registered and the detector nudged, and its continuation runs as a task
+that resumes with the steps after the blocked one.  A parked binary
+frame does not stop the frames behind it; a parked text frame pauses
+reading until its answer is queued, so the line protocol stays strictly
+serial.  An ``END`` whose own transaction still has parked frames parks
+the same way.  Release, commit, abort, the timeout cancel and the
+deadlock detector's pass are plain synchronous calls between two
 ``await`` points.
 
 The manager's ``on_wake`` callback resolves a parked request's future
 when a release or cancellation grants it.  Responses already queued when
-a frame parks are flushed before it waits, so a pipelined batch never
-sits on completed answers while one frame waits.  A deadlock detector
+a frame parks are written before it waits, so a pipelined batch never
+sits on completed answers while one frame waits; parked answers that
+complete in one event-loop pass share one write.  A deadlock detector
 task checks the waits-for graph on an interval, nudged early whenever a
 request starts waiting; victims end through
 :meth:`~repro.txn.manager.TransactionManager.kill`.  A victim whose kill
@@ -143,7 +142,8 @@ _PLAN_VERBS = {
     "IINCLOCK": IINC,
 }
 
-_READ_CHUNK = 64 * 1024
+#: queued answers past this many bytes are written mid-batch
+_WRITE_CHUNK = 64 * 1024
 
 
 def register_database_resources(interner, database) -> List[tuple]:
@@ -199,10 +199,10 @@ class _Session:
     """Per-connection state: named transactions plus wire-mode flags.
 
     Frames dispatch synchronously in arrival order; only a frame that
-    parks outlives its dispatch, as a task on the binary path.  The
-    session therefore carries the set of those parked tasks and a
-    per-transaction count of parked frames that lets ``END`` wait for
-    its own transaction's frames without stalling anyone else's.
+    parks outlives its dispatch, as a task.  The session carries those
+    tasks and a per-transaction count of parked frames that lets ``END``
+    wait for its own transaction's frames without stalling anyone
+    else's.
     """
 
     __slots__ = (
@@ -236,24 +236,56 @@ class _Session:
         return self.idle.setdefault(name, asyncio.Event())
 
 
-class _Conn:
-    """One connection's write side: responses coalesce in ``out`` and hit
-    the socket as a single ``write()`` + ``drain()`` per flush."""
+class _Connection(asyncio.Protocol):
+    """One client connection: received bytes feed the server's frame
+    pump (:meth:`LockServer._pump`); responses coalesce in ``out`` until
+    one ``transport.write()`` per flush.  Reading pauses while the write
+    buffer is over its high-water mark or a text frame is parked, and for
+    good once the session closes or the peer sent EOF."""
 
-    __slots__ = ("writer", "out", "pending", "flush_task")
+    __slots__ = (
+        "server", "session", "transport", "buffer", "out", "pending",
+        "flush_handle", "text_parked", "write_paused", "eof", "closing",
+    )
 
-    def __init__(self, writer):
-        self.writer = writer
-        self.out = bytearray()
+    def __init__(self, server: "LockServer"):
+        self.server = server
+        self.session = _Session()
+        self.transport: Optional[asyncio.Transport] = None
+        self.buffer, self.out = bytearray(), bytearray()
         self.pending = 0  # responses queued since the last flush
-        self.flush_task: Optional[asyncio.Task] = None
+        self.flush_handle: Optional[asyncio.Handle] = None
+        self.text_parked = self.write_paused = False
+        self.eof = self.closing = False
 
-    async def flush(self):
-        if self.out:
-            data = bytes(self.out)
-            del self.out[:]
-            self.writer.write(data)
-            await self.writer.drain()
+    def connection_made(self, transport):
+        self.transport = transport
+        self.server.stats["sessions"] += 1
+
+    def data_received(self, data):
+        self.buffer += data
+        self.server._pump(self)
+
+    def eof_received(self):
+        self.eof = True
+        self.server._pump(self)
+        return True  # half-open: parked answers may still be written
+
+    def connection_lost(self, exc):
+        self.server._close(self, abandoned=False)
+
+    def pause_writing(self):
+        self.write_paused = True
+        self.transport.pause_reading()
+
+    def resume_writing(self):
+        self.write_paused = False
+        self.server._pump(self)  # the frames left when writing paused
+        self.resume_reading()
+
+    def resume_reading(self):
+        if not (self.write_paused or self.text_parked or self.eof or self.closing):
+            self.transport.resume_reading()
 
 
 class LockServer:
@@ -300,7 +332,10 @@ class LockServer:
         self._failed_kills: List[object] = []
         self._server: Optional[asyncio.AbstractServer] = None
         self._detector_task: Optional[asyncio.Task] = None
-        self._nudge: Optional[asyncio.Event] = None
+        #: resolved by a nudge (or the interval) to run a detector pass
+        self._detector_wake: Optional[asyncio.Future] = None
+        #: cleanups of closed sessions still settling their parked frames
+        self._cleanups: set = set()
         self._loop: Optional[asyncio.AbstractEventLoop] = None
         #: rid -> (resource tuple, rendered path): everything reachable
         #: over the binary wire (the schema tree at start, plus OP_INTERN
@@ -319,10 +354,15 @@ class LockServer:
     def _accepts_mode(self, mode: LockMode) -> bool:
         return self._semantic_enabled or not mode.is_semantic
 
+    def _wire_mode(self, code: int) -> Optional[LockMode]:
+        """The mode a binary code names; None when out of range or (a
+        semantic code against a classic stack) not accepted."""
+        if code < N_MODES and self._accepts_mode(MODES_BY_CODE[code]):
+            return MODES_BY_CODE[code]
+        return None
+
     def _modes_frame(self) -> str:
-        accepted = (
-            MODES_BY_CODE if self._semantic_enabled else CLASSIC_MODES
-        )
+        accepted = MODES_BY_CODE if self._semantic_enabled else CLASSIC_MODES
         return "OK MODES %s" % ",".join(mode.value for mode in accepted)
 
     # -- lifecycle ------------------------------------------------------------
@@ -330,10 +370,10 @@ class LockServer:
     async def start(self) -> Tuple[str, int]:
         """Bind, start serving and start the detector task."""
         self._loop = asyncio.get_running_loop()
-        self._nudge = asyncio.Event()
+        self._detector_wake = self._loop.create_future()
         self._register_resources()
-        self._server = await asyncio.start_server(
-            self._handle_client, self.host, self.port
+        self._server = await self._loop.create_server(
+            functools.partial(_Connection, self), self.host, self.port
         )
         self.port = self._server.sockets[0].getsockname()[1]
         self._detector_task = asyncio.create_task(self._detector_loop())
@@ -342,10 +382,7 @@ class LockServer:
     async def stop(self):
         if self._detector_task is not None:
             self._detector_task.cancel()
-            try:
-                await self._detector_task
-            except asyncio.CancelledError:
-                pass
+            await asyncio.gather(self._detector_task, return_exceptions=True)
             self._detector_task = None
         self._retry_failed_kills()
         if self._server is not None:
@@ -389,37 +426,62 @@ class LockServer:
 
     # -- connection handling --------------------------------------------------
 
-    async def _handle_client(self, reader, writer):
-        session = _Session()
-        conn = _Conn(writer)
-        self.stats["sessions"] += 1
-        buffer = bytearray()
-        abandoned = False
+    def _pump(self, conn: _Connection):
+        """Dispatch every complete frame in ``conn``'s buffer, in arrival
+        order, then write their answers with one ``transport.write()``.
+        A parked binary frame does not block the frames behind it; a
+        parked text frame stops the pump until its answer is queued, and
+        backpressure until the transport resumes writing."""
+        session = conn.session
+        progress = alive = True
         try:
-            eof = False
-            while not eof:
-                chunk = await reader.read(_READ_CHUNK)
-                if chunk:
-                    buffer.extend(chunk)
-                else:
-                    eof = True
-                if not await self._drain_frames(conn, session, buffer, eof):
-                    # an injected disconnect or unrecoverable framing:
-                    # drop without a reply; the cleanup below aborts the
-                    # session's live transactions
-                    del conn.out[:]
-                    abandoned = True
-                    return
-                await self._flush(conn)
-        except (ConnectionResetError, BrokenPipeError):
-            pass
-        finally:
+            while conn.buffer and progress and alive and not (
+                conn.text_parked or conn.write_paused or conn.closing
+            ):
+                step = self._next_binary if session.binary else self._next_text
+                progress, alive = step(conn, session, conn.buffer)
+                if len(conn.out) >= _WRITE_CHUNK:
+                    # answer a long read in chunks, so the transport can
+                    # push back before the whole read is dispatched
+                    self._flush(conn)
+        except Exception as exc:
+            self._drop(conn, "frame dispatch failed", exc)
+            return
+        if not alive:
+            # an injected disconnect or unrecoverable framing: drop without
+            # a reply; the cleanup aborts the session's live transactions
+            del conn.out[:]
+            self._close(conn, abandoned=True)
+            return
+        self._flush(conn)
+        if conn.eof and not (conn.text_parked or conn.write_paused):
+            self._close(conn, abandoned=False)
+
+    def _drop(self, conn: _Connection, message: str, exc: Exception):
+        """An unexpected dispatch error: close the connection rather than
+        leave the client waiting on an answer forever, and report it."""
+        del conn.out[:]
+        conn.transport.close()
+        self._close(conn, abandoned=False)
+        self._loop.call_exception_handler({"message": message, "exception": exc})
+
+    def _close(self, conn: _Connection, abandoned: bool):
+        """Stop reading and start the session's cleanup, once."""
+        if not conn.closing:
+            conn.closing = True
+            conn.transport.pause_reading()
+            task = self._loop.create_task(self._end_session(conn, abandoned))
+            self._cleanups.add(task)
+            task.add_done_callback(self._cleanups.discard)
+
+    async def _end_session(self, conn: _Connection, abandoned: bool):
+        session = conn.session
+        try:
             if abandoned and session.tasks:
                 # the connection is being dropped mid-stream: unwind the
-                # parked binary frames instead of letting them finish
-                # against a peer that will never read the answers.  Yield
-                # once first: every continuation was scheduled before
-                # this step, so each is past its first step and unwinds
+                # parked frames instead of letting them finish against a
+                # peer that will never read the answers.  Yield once first,
+                # so each continuation is past its first step and unwinds
                 # the registration it made when it parked.
                 await asyncio.sleep(0)
                 for task in list(session.tasks):
@@ -435,52 +497,27 @@ class LockServer:
                 if txn.state == TxnState.ACTIVE:
                     self.stack.txns.kill(txn)
             session.txns.clear()
-            writer.close()
-            try:
-                await writer.wait_closed()
-            except (ConnectionResetError, BrokenPipeError):
-                pass
+        finally:
+            conn.transport.close()
 
-    async def _drain_frames(self, conn, session, buffer, eof) -> bool:
-        """Dispatch every complete frame in ``buffer``; False drops the
-        connection.  Every frame dispatches synchronously, in arrival
-        order.  A text frame that parks is awaited here, one round-trip
-        at a time; a binary frame that parks becomes a task, so it does
-        not head-of-line-block the frames queued behind it."""
-        while True:
-            if session.binary:
-                progress, alive = self._next_binary(conn, session, buffer)
-            else:
-                progress, alive = await self._next_text(
-                    conn, session, buffer, eof
-                )
-            if not alive:
-                return False
-            if not progress:
-                return True
-
-    async def _flush(self, conn):
-        """Flush queued responses as one write, recording batch stats."""
+    def _flush(self, conn: _Connection):
+        """Write queued responses as one write, recording batch stats."""
+        conn.flush_handle = None
         made = conn.pending
         if made:
             conn.pending = 0
             self.stats["batches"] += 1
             if made > self.stats["max_batch"]:
                 self.stats["max_batch"] = made
-        try:
-            await conn.flush()
-        except (ConnectionResetError, BrokenPipeError):
-            pass  # the read loop notices the dead peer on its own
+            data, conn.out = conn.out, bytearray()
+            if not conn.transport.is_closing():
+                conn.transport.write(data)
 
-    def _schedule_flush(self, conn):
-        if conn.flush_task is None or conn.flush_task.done():
-            conn.flush_task = self._loop.create_task(self._flush_soon(conn))
-
-    async def _flush_soon(self, conn):
-        # yield once so every dispatch completing in the same ready
-        # batch lands in a single write
-        await asyncio.sleep(0)
-        await self._flush(conn)
+    def _schedule_flush(self, conn: _Connection):
+        # call_soon runs after every callback already ready, so the
+        # parked answers completing in this event-loop pass share a write
+        if conn.flush_handle is None:
+            conn.flush_handle = self._loop.call_soon(self._flush, conn)
 
     def _frame_fault(self) -> bool:
         """True when an injected ``service.frame`` fault fires — the
@@ -496,12 +533,10 @@ class LockServer:
     def _too_long_text(self, conn):
         self.stats["frames"] += 1
         self.stats["frames_too_long"] += 1
-        self._queue_text(
-            conn,
-            "ERR FRAME_TOO_LONG line exceeds %d bytes" % self.max_frame,
-        )
+        too_long = "ERR FRAME_TOO_LONG line exceeds %d bytes" % self.max_frame
+        self._queue_text(conn, too_long)
 
-    async def _next_text(self, conn, session, buffer, eof):
+    def _next_text(self, conn, session, buffer):
         """Consume at most one text line; (progress, alive)."""
         newline = buffer.find(b"\n")
         if session.discarding:
@@ -519,32 +554,34 @@ class LockServer:
                 session.discarding = True
                 del buffer[:]
                 return True, True
-            if eof and buffer:
+            if conn.eof and buffer:
                 # readline() surfaced an unterminated tail at EOF as a
                 # final frame; keep that behavior
                 line = bytes(buffer)
                 del buffer[:]
-                return await self._text_frame(conn, session, line)
+                return self._text_frame(conn, session, line)
             return False, True
         line = bytes(buffer[:newline])
         del buffer[: newline + 1]
         if len(line) > self.max_frame:
             self._too_long_text(conn)
             return True, True
-        return await self._text_frame(conn, session, line)
+        return self._text_frame(conn, session, line)
 
-    async def _text_frame(self, conn, session, line: bytes):
+    def _text_frame(self, conn, session, line: bytes):
         self.stats["frames"] += 1
         if self._frame_fault():
             return False, False
         response = self._dispatch(
             session, line.decode("utf-8", "replace").strip()
         )
-        if not isinstance(response, str):
-            # parked: flush the answers already queued, then wait here
-            await self._flush(conn)
-            response = await response
-        self._queue_text(conn, response)
+        if isinstance(response, str):
+            self._queue_text(conn, response)
+        else:
+            # parked: read nothing more until its answer is queued
+            conn.text_parked = True
+            conn.transport.pause_reading()
+            self._park(conn, session, None, response)
         return True, True
 
     def _queue_text(self, conn, response: str):
@@ -576,18 +613,8 @@ class LockServer:
         if length > self.max_frame:
             self.stats["frames"] += 1
             self.stats["frames_too_long"] += 1
-            self._queue_binary(
-                conn,
-                wire.encode_response(
-                    wire.RESP_ERR,
-                    corr,
-                    (
-                        wire.ERR_CODES["FRAME_TOO_LONG"],
-                        "FRAME_TOO_LONG frame exceeds %d bytes"
-                        % self.max_frame,
-                    ),
-                ),
-            )
+            too_long = "ERR FRAME_TOO_LONG frame exceeds %d bytes" % self.max_frame
+            self._queue_binary(conn, wire.frame_for_response(corr, too_long))
             del buffer[: wire.HEADER_SIZE]
             session.skip = length - (wire.HEADER_SIZE - 4)
             return True, True
@@ -621,33 +648,38 @@ class LockServer:
         elif isinstance(response, bytes):
             self._queue_binary(conn, response)
         else:
-            task = self._loop.create_task(response)
-            session.tasks.add(task)
-            task.add_done_callback(
-                functools.partial(self._answer_parked, conn, session, corr)
-            )
+            self._park(conn, session, corr, response)
         return True, True
 
-    def _answer_parked(self, conn, session, corr: int, task) -> None:
-        """Done-callback of a parked binary frame's continuation: queue
-        its answer, matched by correlation id rather than position."""
-        session.tasks.discard(task)
+    def _park(self, conn, session, corr: Optional[int], continuation):
+        task = self._loop.create_task(continuation)
+        session.tasks.add(task)
+        task.add_done_callback(
+            functools.partial(self._answer_parked, conn, corr)
+        )
+
+    def _answer_parked(self, conn, corr: Optional[int], task) -> None:
+        """Done-callback of a parked frame's continuation: queue its
+        answer — a binary one matched by correlation id rather than
+        position, a text one (``corr`` None) ahead of the lines behind
+        it."""
+        conn.session.tasks.discard(task)
         if task.cancelled():
             return
         exc = task.exception()
         if exc is not None:
-            # an unexpected dispatch error tears the connection down
-            # rather than leaving the client waiting on this
-            # correlation id forever
-            conn.writer.close()
-            self._loop.call_exception_handler(
-                {"message": "parked frame failed", "exception": exc}
-            )
+            self._drop(conn, "parked frame failed", exc)
             return
-        self._queue_binary(conn, wire.frame_for_response(corr, task.result()))
-        # the read loop flushes the frames it dispatched; an answer that
-        # completes later schedules its own flush
-        self._schedule_flush(conn)
+        if corr is not None:
+            self._queue_binary(
+                conn, wire.frame_for_response(corr, task.result())
+            )
+            self._schedule_flush(conn)
+            return
+        self._queue_text(conn, task.result())
+        conn.text_parked = False
+        self._pump(conn)
+        conn.resume_reading()
 
     def _queue_binary(self, conn, frame: bytes):
         if frame[4] == wire.RESP_ERR:
@@ -659,8 +691,7 @@ class LockServer:
     #
     # Every handler runs synchronously and returns its response — or, when
     # the frame parks, its continuation coroutine with the wake-up already
-    # registered.  The text path awaits a continuation in place; the
-    # binary path spawns it as a task.
+    # registered, which the connection runs as a task.
 
     def _dispatch(self, session: _Session, frame: str):
         if not frame:
@@ -672,10 +703,7 @@ class LockServer:
         if verb == "MODES":
             return self._modes_frame()
         if verb == "HELLO":
-            if len(tokens) != 2 or tokens[1].upper() not in (
-                "TEXT",
-                "BINARY",
-            ):
+            if len(tokens) != 2 or tokens[1].upper() not in ("TEXT", "BINARY"):
                 return "ERR BAD-FRAME HELLO takes TEXT or BINARY"
             if tokens[1].upper() == "BINARY":
                 if not session.binary:
@@ -749,34 +777,26 @@ class LockServer:
             )
         if opcode == wire.OP_UNLOCK:
             rid, name = fields
-            if self._live_txn(session, name) is None:
+            txn = self._live_txn(session, name)
+            if txn is None:
                 return "ERR NOTXN %s" % name
             entry = self._rid_resources.get(rid)
             if entry is None:
                 return "ERR UNKNOWN-RESOURCE rid=%d" % rid
-            return self._unlock_resource(session, name, *entry)
+            return self._unlock_resource(txn, name, *entry)
         if opcode == wire.OP_LOCK:
             mode_code, flags, rid, name = fields
-            if self._live_txn(session, name) is None:
+            txn = self._live_txn(session, name)
+            if txn is None:
                 return "ERR NOTXN %s" % name
-            if mode_code >= N_MODES or not self._accepts_mode(
-                MODES_BY_CODE[mode_code]
-            ):
-                # a semantic code against a classic stack answers exactly
-                # as any out-of-range code always has
+            mode = self._wire_mode(mode_code)
+            if mode is None:
                 return "ERR BAD-MODE code=%d" % mode_code
             entry = self._rid_resources.get(rid)
             if entry is None:
                 return "ERR UNKNOWN-RESOURCE rid=%d" % rid
-            resource, path = entry
-            return self._lock_resource(
-                session,
-                name,
-                resource,
-                path,
-                MODES_BY_CODE[mode_code],
-                nowait=bool(flags & wire.FLAG_NOWAIT),
-            )
+            nowait = bool(flags & wire.FLAG_NOWAIT)
+            return self._lock_resource(session, txn, name, *entry, mode, nowait)
         if opcode == wire.OP_ACQUIRE_MANY:
             flags, step_codes, name = fields
             txn = self._live_txn(session, name)
@@ -785,24 +805,17 @@ class LockServer:
             steps: List[Tuple[tuple, LockMode]] = []
             spec_parts: List[str] = []
             for rid, mode_code in step_codes:
-                if mode_code >= N_MODES or not self._accepts_mode(
-                    MODES_BY_CODE[mode_code]
-                ):
+                mode = self._wire_mode(mode_code)
+                if mode is None:
                     return "ERR BAD-MODE code=%d" % mode_code
                 entry = self._rid_resources.get(rid)
                 if entry is None:
                     return "ERR UNKNOWN-RESOURCE rid=%d" % rid
-                mode = MODES_BY_CODE[mode_code]
                 steps.append((entry[0], mode))
                 spec_parts.append("%s:%s" % (entry[1], mode.value))
-            return self._run_steps(
-                session,
-                txn,
-                name,
-                ",".join(spec_parts),
-                steps,
-                nowait=bool(flags & wire.FLAG_NOWAIT),
-            )
+            nowait = bool(flags & wire.FLAG_NOWAIT)
+            spec = ",".join(spec_parts)
+            return self._run_steps(session, txn, name, spec, steps, nowait)
         return "ERR UNKNOWN-OPCODE 0x%02x" % opcode
 
     def _start(self, session: _Session, name: str) -> str:
@@ -830,17 +843,12 @@ class LockServer:
             # manager mid-plan.  Park until they finish — the frames
             # behind this END (the next transaction's whole pipeline)
             # keep dispatching meanwhile.
-            return self._end_when_idle(
-                session, name, txn, session.idle_event(name)
-            )
+            return self._end_when_idle(session, name, txn)
         return self._commit(session, name, txn)
 
-    async def _end_when_idle(
-        self, session: _Session, name: str, txn, idle: asyncio.Event
-    ) -> str:
+    async def _end_when_idle(self, session: _Session, name: str, txn) -> str:
         """A parked END: commit once no frame of ``name`` is parked."""
-        await idle.wait()
-        while session.inflight.get(name):  # a later frame parked since
+        while session.inflight.get(name):  # a later frame may park too
             await session.idle_event(name).wait()
         return self._commit(session, name, txn)
 
@@ -868,14 +876,11 @@ class LockServer:
         resource, err = self._parse_resource(path)
         if err is not None:
             return err
-        return self._unlock_resource(session, name, resource, path)
+        return self._unlock_resource(txn, name, resource, path)
 
     def _unlock_resource(
-        self, session: _Session, name: str, resource: tuple, path: str
+        self, txn, name: str, resource: tuple, path: str
     ) -> str:
-        txn = self._live_txn(session, name)
-        if txn is None:
-            return "ERR NOTXN %s" % name
         try:
             self.manager.release(txn, resource)
         except LockError:
@@ -892,21 +897,10 @@ class LockServer:
         if err is not None:
             return err
         return self._lock_resource(
-            session, name, resource, path, _PLAN_VERBS[verb], nowait
+            session, txn, name, resource, path, _PLAN_VERBS[verb], nowait
         )
 
-    def _lock_resource(
-        self,
-        session: _Session,
-        name: str,
-        resource: tuple,
-        path: str,
-        mode: LockMode,
-        nowait: bool,
-    ):
-        txn = self._live_txn(session, name)
-        if txn is None:
-            return "ERR NOTXN %s" % name
+    def _lock_resource(self, session, txn, name, resource, path, mode, nowait):
         if mode.is_intention:
             # the paper's intention chain: IS/IX on every ancestor,
             # root first, then the node itself
@@ -956,9 +950,9 @@ class LockServer:
         it WAITING as its last element.  The frame then parks: the grant
         future is registered (resolved by ``on_wake`` on grant, or by
         the detector for a deadlock victim) and the detector nudged
-        right here, before control returns to the read loop — so a
-        release dispatched later in the same read cannot be missed — and
-        the continuation is returned for the caller to await or spawn.
+        right here, before control returns to the event loop — so a
+        release dispatched later in the same batch cannot be missed — and
+        the continuation is returned for the connection to run as a task.
         It waits out the blocked request, then submits the steps after
         it, which may park again; a deadlock or timeout answers ERR and
         the granted prefix stays held (the client chooses between retry
@@ -992,8 +986,7 @@ class LockServer:
             return "OK GRANTED %s %s steps=%d" % (name, what, submitted)
         blocked = requests[-1]
         future = self._futures[blocked] = self._loop.create_future()
-        if self._nudge is not None:
-            self._nudge.set()  # a new wait edge: run the detector early
+        self._nudge_detector()  # a new wait edge: run the detector early
         session.begin_frame(name)
 
         async def resume() -> str:
@@ -1045,16 +1038,22 @@ class LockServer:
 
     # -- deadlock detection ----------------------------------------------------
 
+    def _nudge_detector(self):
+        """Run the detector's next pass now rather than at its interval."""
+        if not self._detector_wake.done():
+            self._detector_wake.set_result(None)
+
     async def _detector_loop(self):
-        assert self._nudge is not None
+        loop = self._loop
         while True:
+            # sleep until a nudge or the interval, whichever comes first:
+            # one future and one timer handle per pass, no task
+            timer = loop.call_later(self.detector_interval, self._nudge_detector)
             try:
-                await asyncio.wait_for(
-                    self._nudge.wait(), self.detector_interval
-                )
-            except asyncio.TimeoutError:
-                pass
-            self._nudge.clear()
+                await self._detector_wake
+            finally:
+                timer.cancel()
+            self._detector_wake = loop.create_future()
             try:
                 self._detector_pass()
             except Exception as exc:

@@ -102,15 +102,19 @@ class TransactionManager:
             before_each = lambda depth: injector.fire(  # noqa: E731
                 "txn.undo", txn=txn, depth=depth
             )
+        rolled_back = False
         try:
             txn.rollback_data(before_each=before_each)
+            rolled_back = True
         finally:
             # Locks are released even when an undo closure raises — a
-            # raising undo must not leak the transaction's locks — and the
-            # accounting only happens once cleanup actually completed.
+            # raising undo must not leak the transaction's locks — but
+            # the transaction leaves :attr:`active` (where crash recovery
+            # finds it) and counts as aborted only once its rollback
+            # completed.
             txn.state = TxnState.ABORTED
             woken = self.protocol.release_all(txn, keep_long=False)
-            if txn in self.active:
+            if rolled_back and txn in self.active:
                 del self.active[txn]
                 self.aborted += 1
         return woken
@@ -126,7 +130,9 @@ class TransactionManager:
         undo closure, the lock release), and :meth:`abort` is re-entrant —
         each retry resumes cleanup where the previous attempt stopped — so
         three attempts absorb a bounded number of faults without leaking
-        locks; the third failure re-raises.
+        locks; the third failure re-raises.  A transaction whose rollback
+        never completed then holds no lock but stays in :attr:`active`
+        with its undo log, for a later ``kill`` or crash recovery.
 
         Returns the requests the cancellations granted, then those the
         completing attempt's release granted (grants made by a release

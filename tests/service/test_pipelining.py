@@ -7,14 +7,18 @@ matched by correlation id.  These tests pin the load-bearing
 consequences: a parked frame does not head-of-line-block the pipeline,
 END waits for its own transaction's in-flight lock frames before
 committing, a release in the same read as the park still wakes it, an
-unexpected dispatch error drops the connection, and coalesced writes
-batch multiple responses into single flushes.  Further classes pin the
+unexpected dispatch error drops the connection, coalesced writes
+batch multiple responses into single flushes, and answers a client does
+not read pause the server's reading without losing any.  Further classes pin the
 served deadlock outcome over binary clients (which transaction dies and
 what each side is told) and the pipelined load generator's window.
 """
 
 import asyncio
+import socket
 
+from repro.service import server as server_module
+from repro.service import wire
 from repro.service.client import ServiceClient, run_load
 from repro.service.server import LockServer, make_service_stack
 
@@ -156,6 +160,62 @@ class TestPipelinedDispatch:
                 assert stats["lock_count"] == 0, stats
             finally:
                 await probe.close()
+                await server.stop()
+
+        asyncio.run(go())
+
+
+class TestBackpressure:
+    def test_unread_answers_pause_reading_and_none_is_lost(self, connections):
+        """A binary client pipelines far more STATS frames than the
+        server's transport can buffer as answers, and reads nothing.
+        The transport's pushback pauses the server's reading: it stops
+        consuming frames, and its unsent output stays within one write
+        chunk (plus one answer) of the high-water mark.  Once the client
+        reads, every answer arrives exactly once, by correlation id."""
+
+        async def go():
+            server = serve()
+            host, port = await server.start()
+            sock = socket.socket()
+            # a small receive window: the kernel absorbs little output
+            sock.setsockopt(socket.SOL_SOCKET, socket.SO_RCVBUF, 4096)
+            sock.setblocking(False)
+            await asyncio.get_running_loop().sock_connect(sock, (host, port))
+            reader, writer = await asyncio.open_connection(sock=sock)
+            try:
+                writer.write(b"HELLO BINARY\n")
+                assert await reader.readline() == b"OK HELLO BINARY\n"
+                total = 30000
+                writer.write(
+                    b"".join(
+                        wire.encode_request(wire.OP_STATS, corr, ())
+                        for corr in range(total)
+                    )
+                )
+                (conn,) = connections
+                consumed = -1
+                while server.stats["frames"] != consumed:
+                    consumed = server.stats["frames"]
+                    await asyncio.sleep(0.1)
+                assert conn.write_paused
+                assert consumed < total  # HELLO is one of them
+                _, high = conn.transport.get_write_buffer_limits()
+                unsent = conn.transport.get_write_buffer_size()
+                assert unsent <= high + server_module._WRITE_CHUNK + 1024
+                decoder = wire.FrameDecoder()
+                corrs = []
+                while len(corrs) < total:
+                    chunk = await asyncio.wait_for(reader.read(1 << 16), 5.0)
+                    assert chunk, "the server closed the connection"
+                    decoder.feed(chunk)
+                    for opcode, corr, _ in decoder.frames():
+                        assert opcode == wire.RESP_STATS
+                        corrs.append(corr)
+                assert sorted(corrs) == list(range(total))
+                assert server.stats["frames"] == total + 1
+            finally:
+                writer.close()
                 await server.stop()
 
         asyncio.run(go())

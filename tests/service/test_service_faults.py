@@ -124,6 +124,59 @@ class TestMidFrameDisconnect:
         asyncio.run(go())
 
 
+class TestParkedTextDisconnect:
+    def test_parked_frame_settles_before_the_kill(self, monkeypatch, connections):
+        """A text client's SLOCK parks behind h's XLOCK, and the client
+        disconnects.  A parked text frame pauses reading, so the server
+        sees the disconnect only once h's END has granted the frame: the
+        frame settles first, then the session's transaction is killed
+        holding what it was granted, and nothing is left behind."""
+
+        async def go():
+            server = LockServer(make_service_stack("partlib"), port=0)
+            host, port = await server.start()
+            kill, kills = server.stack.txns.kill, []
+
+            def recording_kill(txn):
+                locks = server.manager.locks_of(txn)
+                kills.append((txn.name, dict(locks), dict(server._futures)))
+                return kill(txn)
+
+            monkeypatch.setattr(server.stack.txns, "kill", recording_kill)
+            holder = await ServiceClient(host, port).connect()
+            assert (await holder.start("h")).startswith("OK")
+            assert (await holder.xlock("h", M1)).startswith("OK GRANTED")
+            client = await ServiceClient(host, port).connect()
+            assert (await client.start("t")).startswith("OK")
+            parked = asyncio.create_task(client.lock("SLOCK", "t", M1))
+            while not server._futures:
+                await asyncio.sleep(0.005)
+            assert not connections[1].transport.is_reading()
+            parked.cancel()
+            await client.close()
+            await asyncio.sleep(0.05)
+            assert kills == []  # still parked: the disconnect is unread
+            assert await holder.end("h") == "OK ENDED h"
+            for _ in range(100):
+                if kills and not server.stack.txns.active:
+                    break
+                await asyncio.sleep(0.01)
+            ((name, locks, futures),) = kills
+            assert name == "t" and locks, "killed before its grant"
+            assert futures == {}, "killed while its frame was parked"
+            await holder.close()
+            await asyncio.sleep(0.05)
+            assert_no_leaks(server)
+            assert not server.stack.txns.active
+            assert asyncio.all_tasks() == {
+                asyncio.current_task(),
+                server._detector_task,
+            }
+            await server.stop()
+
+        asyncio.run(go())
+
+
 class TestDetectorDelay:
     def test_skipped_pass_only_delays_detection(self):
         async def go():

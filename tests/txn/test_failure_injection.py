@@ -161,7 +161,10 @@ class TestRaisingUndoClosures:
             stack.txns.abort(txn)
         assert stack.manager.locks_of(txn) == {}
         assert txn.state is TxnState.ABORTED
-        assert txn not in stack.txns.active
+        # the rollback did not complete: the transaction stays active,
+        # uncounted, for crash recovery or a retried abort to finish
+        assert txn in stack.txns.active
+        assert stack.txns.aborted == 0
 
     def test_retry_after_raising_undo_completes_rollback(self, figure7_stack):
         stack = figure7_stack
@@ -294,8 +297,19 @@ class TestKill:
         with pytest.raises(FaultInjected):
             stack.txns.kill(victim)
         assert len(injector.log) == 3
+        # the locks are gone, but the rollback never ran: the victim
+        # stays active, where crash recovery and a later kill find it
+        assert [w.status for w in waits] == [RequestStatus.CANCELLED] * 2
+        assert all(request.granted for request in parked)
+        assert stack.manager.locks_of(victim) == {}
+        assert victim.undo_depth() == 1
+        assert victim in stack.txns.active
+        assert stack.txns.aborted == 0
+        injector.enabled = False
+        assert stack.txns.kill(victim) == []
         self.assert_ended(stack, victim, waits, parked)
-        assert victim.undo_depth() == 1  # the rollback never ran
+        assert victim.undo_depth() == 0
+        assert stack.txns.aborted == 1
 
     def test_retried_kill_frees_a_transaction_never_begun(self, figure7_stack):
         """A transaction built directly never enters ``txns.active``, so
