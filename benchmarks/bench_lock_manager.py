@@ -25,6 +25,7 @@ from repro.locking.modes import (
     supremum,
     supremum_naive,
 )
+from repro.protocol.base import PlannedLock
 
 
 def test_acquire_release_cycle(benchmark):
@@ -60,8 +61,10 @@ def test_uncontended_txn_lifecycle(benchmark):
     """
     manager = LockManager()
     chain = [("db",), ("db", "seg"), ("db", "seg", "rel"), ("db", "seg", "rel", "o")]
-    plan = [(resource, IX) for resource in chain]
-    plan += [(chain[-1] + ("m%d" % i,), S) for i in range(20 - len(chain))]
+    plan = [PlannedLock(resource, IX) for resource in chain]
+    plan += [
+        PlannedLock(chain[-1] + ("m%d" % i,), S) for i in range(20 - len(chain))
+    ]
 
     def lifecycle():
         granted = manager.acquire_many("t1", plan)
@@ -238,21 +241,21 @@ def test_covered_reacquire(benchmark):
     the per-transaction held-mode summary.
     """
     plan = [
-        (("db1",), IX),
-        (("db1", "seg1"), IX),
-        (("db1", "seg1", "cells"), IX),
-        (("db1", "seg1", "cells", "c1"), IX),
+        PlannedLock(("db1",), IX),
+        PlannedLock(("db1", "seg1"), IX),
+        PlannedLock(("db1", "seg1", "cells"), IX),
+        PlannedLock(("db1", "seg1", "cells", "c1"), IX),
     ]
     for i in range(60):
         plan.append(
-            (("db1", "seg1", "cells", "c1", "robots", "r%d" % i), S)
+            PlannedLock(("db1", "seg1", "cells", "c1", "robots", "r%d" % i), S)
         )
     rounds = 2000
 
     def regrant(table):
         for _ in range(rounds):
-            for resource, mode in plan:
-                table.request("t1", resource, mode)
+            for step in plan:
+                table.request("t1", step.resource, step.mode)
 
     def batched(table):
         for _ in range(rounds):

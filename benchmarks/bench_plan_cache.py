@@ -20,6 +20,7 @@ from repro.graphs.units import object_resource
 from repro.locking.lock_table import LockTable
 from repro.locking.modes import IX, S, X
 from repro.locking.plancache import PlanCache
+from repro.protocol.base import PlannedLock
 from repro.workloads import build_cells_database
 
 DB_KWARGS = dict(n_cells=6, n_robots=10, n_effectors=30)
@@ -238,9 +239,9 @@ def test_plan_cache_invalidation_churn(benchmark):
 
 def _sequential_reacquire(table, plan, rounds):
     for _ in range(rounds):
-        for resource, mode in plan:
-            if not table.holds_at_least("t1", resource, mode):
-                table.request("t1", resource, mode)
+        for step in plan:
+            if not table.holds_at_least("t1", step.resource, step.mode):
+                table.request("t1", step.resource, step.mode)
 
 
 def _batched_reacquire(table, plan, rounds):
@@ -251,10 +252,10 @@ def _batched_reacquire(table, plan, rounds):
 def test_batched_reacquire_fast_path(benchmark):
     """A fully covered group request is one summary probe per step."""
     plan = [
-        (("db1",), IX),
-        (("db1", "seg1"), IX),
-        (("db1", "seg1", "cells"), IX),
-        (("db1", "seg1", "cells", "c1"), X),
+        PlannedLock(("db1",), IX),
+        PlannedLock(("db1", "seg1"), IX),
+        PlannedLock(("db1", "seg1", "cells"), IX),
+        PlannedLock(("db1", "seg1", "cells", "c1"), X),
     ]
     rounds = 2000
     timings = {}

@@ -308,18 +308,19 @@ class LockTable:
     ) -> List[LockRequest]:
         """Acquire a whole lock plan in one table pass.
 
-        ``steps`` is an ordered iterable of ``(resource, mode)`` pairs —
-        typically one demand's compiled plan, root-to-leaf.  Semantics are
-        exactly those of issuing each pair through :meth:`request` after
-        pruning pairs the transaction already covers (the caller-side
-        ``holds_at_least`` filter of the sequential path): pruned pairs
+        ``steps`` is an ordered iterable of steps with a ``resource`` and
+        a ``mode`` — typically one demand's compiled plan as the plan cache
+        holds it (:class:`~repro.protocol.base.PlannedLock`).  Semantics
+        are exactly those of issuing each step through :meth:`request`
+        after pruning steps the transaction already covers: pruned steps
         touch no counters, the compatible prefix is granted in order, and
-        the first pair that cannot be granted either queues (``wait=True``,
+        the first step that cannot be granted either queues (``wait=True``,
         returned WAITING as the last element) or raises
         :class:`LockConflictError` (``wait=False``), leaving the prefix
-        granted for the caller's abort path to release.
+        granted for the caller's abort path to release.  An iterator is
+        consumed up to that step, so a later pass resumes right behind it.
 
-        The batching win: one call boundary for N locks, covered-pair
+        The batching win: one call boundary for N locks, covered-step
         pruning via the O(1) per-transaction held-mode summary, and — since
         at most the final request can block — callers need a single
         deadlock check per plan instead of one per lock.
@@ -332,7 +333,8 @@ class LockTable:
         # transaction that held nothing re-fetches it, once, after the
         # first grant created it (counted in ``summary_rebuilds``).
         modes = self._txn_modes.get(txn)
-        for resource, mode in steps:
+        for step in steps:
+            resource, mode = step.resource, step.mode
             if modes is not None:
                 held_mode = modes.get(resource)
                 if held_mode is not None and covers(held_mode, mode):

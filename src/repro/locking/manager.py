@@ -74,9 +74,9 @@ class LockManager:
     def acquire_many(
         self, txn, steps, long: bool = False, wait: bool = True
     ) -> List[LockRequest]:
-        """Acquire an ordered plan of ``(resource, mode)`` pairs in one pass.
+        """Acquire an ordered plan of steps in one pass.
 
-        Covered pairs are pruned against the table's per-transaction
+        Covered steps are pruned against the table's per-transaction
         held-mode summary; at most the last returned request is WAITING.
         See :meth:`LockTable.request_many`.
         """

@@ -108,10 +108,10 @@ class LockTrace:
             # the batched fast path.
             table = manager.table
             out = []
-            for resource, mode in steps:
-                if table.holds_at_least(txn, resource, mode):
+            for step in steps:
+                if table.holds_at_least(txn, step.resource, step.mode):
                     continue
-                request = acquire(txn, resource, mode, long=long, wait=wait)
+                request = acquire(txn, step.resource, step.mode, long=long, wait=wait)
                 out.append(request)
                 if not request.granted:
                     break

@@ -72,9 +72,6 @@ class LockPlan:
     def __len__(self):
         return len(self.steps)
 
-    def resources(self) -> List[Tuple]:
-        return [step.resource for step in self.steps]
-
     def __repr__(self):
         return "LockPlan(%r)" % (self.steps,)
 
@@ -112,7 +109,7 @@ class ProtocolBase:
         #: the last plan_stamp(), shared by every plan compiled against it
         self._stamp = (None, None)
         #: optional :class:`repro.faults.FaultInjector`; fires the
-        #: ``plan.expand`` point on every demand's plan filtering and
+        #: ``plan.expand`` point on every demand's expansion and
         #: ``plan.execute`` before the plan's lock requests are submitted
         self.fault_injector = None
         #: explicit lock requests issued through this protocol instance
@@ -120,18 +117,21 @@ class ProtocolBase:
         #: logical demands served
         self.demands = 0
 
-    # -- planning: subclasses provide _raw_steps or plan_request ---------------
+    # -- planning: subclasses provide _raw_steps or plan_steps ------------------
 
     def plan_request(self, txn, resource, mode, via=None) -> LockPlan:
-        """Expand one demand: the merged :meth:`_raw_steps`, compiled once
-        per ``(resource, mode)`` and filtered for ``txn``.  Fits protocols
-        whose expansion reads neither the transaction nor ``via``, only
-        the object graph and schema the plan stamp covers."""
+        """Expand one demand into the plan ``txn`` still has to request:
+        :meth:`plan_steps`, filtered for its held locks."""
+        return self.filter_plan(txn, self.plan_steps(txn, resource, mode, via))
+
+    def plan_steps(self, txn, resource, mode, via=None) -> Tuple[PlannedLock, ...]:
+        """One demand's merged :meth:`_raw_steps`, compiled once per
+        ``(resource, mode)`` and unfiltered, as ``manager.acquire_many``
+        takes them.  Fits expansions that read neither ``txn`` nor ``via``."""
         self._check_mode(mode)
-        merged = self.compiled_steps(
-            (resource, mode), lambda: self.merge_steps(self._raw_steps(resource, mode))
+        return self.compiled_steps(
+            txn, (resource, mode), lambda: self.merge_steps(self._raw_steps(resource, mode))
         )
-        return self.filter_plan(txn, merged)
 
     def _raw_steps(self, resource, mode) -> List[PlannedLock]:
         raise NotImplementedError
@@ -279,7 +279,7 @@ class ProtocolBase:
         safe); steps the transaction already covers explicitly are dropped
         so repeated demands stay cheap and plans match the figures.
         """
-        return self.filter_plan(txn, self.merge_steps(steps))
+        return self.filter_plan(txn, self._expanded(txn, self.merge_steps(steps)))
 
     def merge_steps(self, steps: List[PlannedLock]) -> Tuple[PlannedLock, ...]:
         """Merge duplicates: earliest position, supremum of modes.
@@ -302,20 +302,22 @@ class ProtocolBase:
             merged.append(step)
         return tuple(merged)
 
+    def _expanded(self, txn, merged):
+        # once per demand, before any lock request: nothing to undo on raise
+        if self.fault_injector is not None:
+            self.fault_injector.fire("plan.expand", txn=txn, steps=len(merged))
+        return merged
+
     def filter_plan(self, txn, merged) -> LockPlan:
         """Drop merged steps the transaction already covers explicitly.
 
-        The transaction-*dependent* half: runs on every demand (cache hit
-        or not) against the caller's current held locks.  The held-mode
+        The transaction-*dependent* half of a :meth:`plan_request`,
+        against the caller's current held locks.  The held-mode
         summary is read once per demand: a transaction holding nothing
         gets every step back unprobed, otherwise each step costs one dict
         probe and one ``covers`` test.  Never mutates ``merged`` (cached
         step tuples are shared).
         """
-        if self.fault_injector is not None:
-            # mid-propagation: the demand is expanded and merged but not
-            # yet turned into lock requests — nothing to clean up on raise
-            self.fault_injector.fire("plan.expand", txn=txn, steps=len(merged))
         held = self.manager.held_modes(txn)
         if not held:
             return LockPlan(list(merged))
@@ -329,8 +331,9 @@ class ProtocolBase:
             ]
         )
 
-    def compiled_steps(self, key: tuple, build) -> Tuple[PlannedLock, ...]:
-        """Merged steps for a demand, via the plan cache.
+    def compiled_steps(self, txn, key: tuple, build) -> Tuple[PlannedLock, ...]:
+        """Merged steps for ``txn``'s demand, via the plan cache; the
+        ``plan.expand`` fault point fires once they are at hand.
 
         ``build()`` computes the merged step tuple; ``key`` must capture
         every plan-shaping input apart from the world state the stamp
@@ -339,12 +342,12 @@ class ProtocolBase:
         build.
         """
         if not self.plan_cacheable:
-            return build()
+            return self._expanded(txn, build())
         stamp = self.plan_stamp()
         steps = self.plan_cache.lookup(key, stamp)
         if steps is None:
             steps = self.plan_cache.store(key, stamp, build()).steps
-        return steps
+        return self._expanded(txn, steps)
 
     def plan_stamp(self) -> tuple:
         """Version stamp of every world state compiled plans depend on.

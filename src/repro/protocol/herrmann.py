@@ -25,12 +25,12 @@ end of transaction, handled by the transaction manager.
 
 from __future__ import annotations
 
-from typing import Optional
+from typing import Optional, Tuple
 
 from repro.catalog.authorization import DEFAULT_RIGHTS, principal_of
 from repro.errors import AuthorizationError, ProtocolError
 from repro.locking.modes import IX, S, X, LockMode, intention_of, supremum
-from repro.protocol.base import LockPlan, PlannedLock, ProtocolBase
+from repro.protocol.base import PlannedLock, ProtocolBase
 
 
 class HerrmannProtocol(ProtocolBase):
@@ -76,9 +76,12 @@ class HerrmannProtocol(ProtocolBase):
 
     # -- planning ---------------------------------------------------------------
 
-    def plan_request(
+    def plan_request(self, txn, resource, mode, via=None, propagate=True):
+        return self.filter_plan(txn, self.plan_steps(txn, resource, mode, via, propagate))
+
+    def plan_steps(
         self, txn, resource, mode: LockMode, via=None, propagate: bool = True
-    ) -> LockPlan:
+    ) -> Tuple[PlannedLock, ...]:
         """Expand one demand into the rule-mandated explicit requests.
 
         ``propagate=False`` applies the semantic refinement of the last
@@ -112,11 +115,11 @@ class HerrmannProtocol(ProtocolBase):
             principal = principal_of(txn)
             if not self.authorization.is_restricted(principal):
                 principal = DEFAULT_RIGHTS
-        merged = self.compiled_steps(
+        return self.compiled_steps(
+            txn,
             (resource, mode, propagate, principal),
             lambda: self._compose(txn, resource, mode, propagate, principal),
         )
-        return self.filter_plan(txn, merged)
 
     def _compose(self, txn, resource, mode: LockMode, propagate, principal):
         """The merged steps of one demand: the *head* (the ancestors in the

@@ -28,7 +28,7 @@ from typing import List
 
 from repro.graphs.units import ancestors, object_resource
 from repro.locking.modes import IX, X, LockMode, intention_of
-from repro.protocol.base import LockPlan, PlannedLock, ProtocolBase
+from repro.protocol.base import PlannedLock, ProtocolBase
 
 
 class NaiveDAGProtocol(ProtocolBase):
@@ -46,7 +46,7 @@ class NaiveDAGProtocol(ProtocolBase):
     #: would change the semantics the benchmarks exist to expose.
     plan_cacheable = False
 
-    def plan_request(self, txn, resource, mode: LockMode, via=None) -> LockPlan:
+    def plan_steps(self, txn, resource, mode: LockMode, via=None):
         self._check_mode(mode)
         intention = intention_of(mode)
         steps: List[PlannedLock] = []
@@ -74,7 +74,7 @@ class NaiveDAGProtocol(ProtocolBase):
                 steps.append(PlannedLock(holder, IX, "referencing-parent"))
 
         steps.append(PlannedLock(resource, mode, "target"))
-        return self.finish_plan(txn, steps)
+        return self._expanded(txn, self.merge_steps(steps))
 
 
 class NaiveDAGUnsafeProtocol(ProtocolBase):
@@ -88,11 +88,11 @@ class NaiveDAGUnsafeProtocol(ProtocolBase):
 
     name = "naive_dag_unsafe"
 
-    def plan_request(self, txn, resource, mode: LockMode, via=None) -> LockPlan:
+    def plan_steps(self, txn, resource, mode: LockMode, via=None):
         self._check_mode(mode)
         intention = intention_of(mode)
         steps: List[PlannedLock] = []
         for ancestor in ancestors(resource):
             steps.append(PlannedLock(ancestor, intention, "ancestor"))
         steps.append(PlannedLock(resource, mode, "target"))
-        return self.finish_plan(txn, steps)
+        return self._expanded(txn, self.merge_steps(steps))

@@ -29,7 +29,8 @@ UNKNOWN-VERB`` and the matching binary mode codes answer ``ERR
 BAD-MODE`` — exactly the frames a PR 8 server produced, which is what
 keeps the flag-off wire differential bit-identical.  ``MODES`` (binary:
 ``OP_MODES``) reports the mode vocabulary the server accepts, so a
-client can discover the flag without tripping over it.
+client can discover the flag without tripping over it; a table built
+once with the server maps each binary mode byte to its accepted mode.
 
 ``HELLO BINARY`` upgrades the connection to the length-prefixed binary
 framing of :mod:`repro.service.wire` (dense interned resource ids on the
@@ -55,15 +56,19 @@ stays up.
 Concurrency model: one process, one single-threaded event loop, and
 every lock-table mutation synchronous — so nothing needs a mutex.  Each
 frame is dispatched synchronously in ``data_received``, in arrival
-order, until it finishes or parks.  A lock frame submits its whole plan
-with one ``manager.acquire_many`` call; at most the last returned
+order, until it finishes or parks.  A lock frame hands the compiled,
+merged steps the plan cache holds (``protocol.plan_steps``) unchanged to
+one ``manager.acquire_many`` call: the lock table's held-mode summary
+probe is the one prune of covered steps.  At most the last returned
 request is WAITING, in which case the frame parks: its grant future is
 registered and the detector nudged, and its continuation runs as a task
-that resumes with the steps after the blocked one.  A parked binary
-frame does not stop the frames behind it; a parked text frame pauses
-reading until its answer is queued, so the line protocol stays strictly
-serial.  An ``END`` whose own transaction still has parked frames parks
-the same way.  Release, commit, abort, the timeout cancel and the
+that resumes the same step iterator behind the blocked step.  A parked
+binary frame does not stop the frames behind it; behind a parked text
+frame received lines only buffer until its answer is queued, so the line
+protocol stays strictly serial and a reset is still seen.  A reset
+abandons the session's parked frames at once; a clean EOF lets them
+settle first.  An ``END`` whose own transaction still has parked frames
+parks the same way.  Release, commit, abort, the timeout cancel and the
 deadlock detector's pass are plain synchronous calls between two
 ``await`` points.
 
@@ -106,6 +111,7 @@ from repro.errors import (
 from repro.graphs.units import ancestors
 from repro.locking.lock_table import LockRequest, RequestStatus
 from repro.nf2.surrogate import ResourceInterner
+from repro.protocol.base import PlannedLock
 from repro.locking.modes import (
     AP,
     CLASSIC_MODES,
@@ -120,7 +126,6 @@ from repro.locking.modes import (
     S,
     SI,
     X,
-    LockMode,
 )
 from repro.service import wire
 from repro.txn.transaction import TxnState
@@ -231,17 +236,14 @@ class _Session:
             if event is not None:
                 event.set()
 
-    def idle_event(self, name: str) -> asyncio.Event:
-        """Set when ``name``'s last parked frame finishes."""
-        return self.idle.setdefault(name, asyncio.Event())
-
 
 class _Connection(asyncio.Protocol):
     """One client connection: received bytes feed the server's frame
     pump (:meth:`LockServer._pump`); responses coalesce in ``out`` until
     one ``transport.write()`` per flush.  Reading pauses while the write
-    buffer is over its high-water mark or a text frame is parked, and for
-    good once the session closes or the peer sent EOF."""
+    buffer is over its high-water mark or more than ``max_frame`` bytes
+    wait behind a parked text frame, and for good once the session
+    closes or the peer sent EOF."""
 
     __slots__ = (
         "server", "session", "transport", "buffer", "out", "pending",
@@ -265,6 +267,8 @@ class _Connection(asyncio.Protocol):
     def data_received(self, data):
         self.buffer += data
         self.server._pump(self)
+        if self._backlogged():
+            self.transport.pause_reading()
 
     def eof_received(self):
         self.eof = True
@@ -272,7 +276,8 @@ class _Connection(asyncio.Protocol):
         return True  # half-open: parked answers may still be written
 
     def connection_lost(self, exc):
-        self.server._close(self, abandoned=False)
+        # a reset (not a clean EOF) abandons the parked frames at once
+        self.server._close(self, abandoned=exc is not None)
 
     def pause_writing(self):
         self.write_paused = True
@@ -284,8 +289,13 @@ class _Connection(asyncio.Protocol):
         self.resume_reading()
 
     def resume_reading(self):
-        if not (self.write_paused or self.text_parked or self.eof or self.closing):
+        if not (self.write_paused or self._backlogged() or self.eof or self.closing):
             self.transport.resume_reading()
+
+    def _backlogged(self) -> bool:
+        # a parked text frame keeps the read side watched (a reset is
+        # seen) while the lines behind it only buffer, up to max_frame
+        return self.text_parked and len(self.buffer) > self.server.max_frame
 
 
 class LockServer:
@@ -345,25 +355,15 @@ class LockServer:
         #: see :meth:`_resource_index`
         self._resource_index_memo: Optional[tuple] = None
         manager.on_wake = self._on_wake
-
-    @property
-    def _semantic_enabled(self) -> bool:
-        """Whether the served stack accepts the semantic lock modes."""
-        return bool(getattr(self.stack.protocol, "use_semantic_modes", False))
-
-    def _accepts_mode(self, mode: LockMode) -> bool:
-        return self._semantic_enabled or not mode.is_semantic
-
-    def _wire_mode(self, code: int) -> Optional[LockMode]:
-        """The mode a binary code names; None when out of range or (a
-        semantic code against a classic stack) not accepted."""
-        if code < N_MODES and self._accepts_mode(MODES_BY_CODE[code]):
-            return MODES_BY_CODE[code]
-        return None
-
-    def _modes_frame(self) -> str:
-        accepted = MODES_BY_CODE if self._semantic_enabled else CLASSIC_MODES
-        return "OK MODES %s" % ",".join(mode.value for mode in accepted)
+        semantic = getattr(stack.protocol, "use_semantic_modes", False)
+        accepted = MODES_BY_CODE if semantic else CLASSIC_MODES
+        #: the accepted modes by name, and by binary mode byte (None: out
+        #: of range, or a semantic code against a classic stack)
+        self._modes = {mode.value: mode for mode in accepted}
+        self._wire_modes = tuple(
+            mode if mode in accepted else None for mode in MODES_BY_CODE
+        ) + (None,) * (256 - N_MODES)
+        self._modes_answer = "OK MODES %s" % ",".join(self._modes)
 
     # -- lifecycle ------------------------------------------------------------
 
@@ -513,12 +513,6 @@ class LockServer:
             if not conn.transport.is_closing():
                 conn.transport.write(data)
 
-    def _schedule_flush(self, conn: _Connection):
-        # call_soon runs after every callback already ready, so the
-        # parked answers completing in this event-loop pass share a write
-        if conn.flush_handle is None:
-            conn.flush_handle = self._loop.call_soon(self._flush, conn)
-
     def _frame_fault(self) -> bool:
         """True when an injected ``service.frame`` fault fires — the
         mid-frame client disconnect."""
@@ -578,9 +572,8 @@ class LockServer:
         if isinstance(response, str):
             self._queue_text(conn, response)
         else:
-            # parked: read nothing more until its answer is queued
+            # parked: dispatch nothing more until its answer is queued
             conn.text_parked = True
-            conn.transport.pause_reading()
             self._park(conn, session, None, response)
         return True, True
 
@@ -674,7 +667,10 @@ class LockServer:
             self._queue_binary(
                 conn, wire.frame_for_response(corr, task.result())
             )
-            self._schedule_flush(conn)
+            # call_soon runs after every callback already ready, so the
+            # parked answers completing in this event-loop pass share a write
+            if conn.flush_handle is None:
+                conn.flush_handle = self._loop.call_soon(self._flush, conn)
             return
         self._queue_text(conn, task.result())
         conn.text_parked = False
@@ -701,7 +697,7 @@ class LockServer:
         if verb == "STATS":
             return self._stats_frame()
         if verb == "MODES":
-            return self._modes_frame()
+            return self._modes_answer
         if verb == "HELLO":
             if len(tokens) != 2 or tokens[1].upper() not in ("TEXT", "BINARY"):
                 return "ERR BAD-FRAME HELLO takes TEXT or BINARY"
@@ -724,7 +720,7 @@ class LockServer:
             if len(tokens) != 3:
                 return "ERR BAD-FRAME UNLOCK takes two arguments"
             return self._unlock(session, tokens[1], tokens[2])
-        if verb in _PLAN_VERBS and self._accepts_mode(_PLAN_VERBS[verb]):
+        if verb in _PLAN_VERBS and _PLAN_VERBS[verb].value in self._modes:
             if len(tokens) not in (3, 4) or (
                 len(tokens) == 4 and tokens[3].upper() != "NOWAIT"
             ):
@@ -759,7 +755,7 @@ class LockServer:
         if opcode == wire.OP_STATS:
             return self._stats_frame()
         if opcode == wire.OP_MODES:
-            return self._modes_frame()
+            return self._modes_answer
         if opcode == wire.OP_RESOURCES:
             entries = tuple(
                 sorted(
@@ -789,7 +785,7 @@ class LockServer:
             txn = self._live_txn(session, name)
             if txn is None:
                 return "ERR NOTXN %s" % name
-            mode = self._wire_mode(mode_code)
+            mode = self._wire_modes[mode_code]
             if mode is None:
                 return "ERR BAD-MODE code=%d" % mode_code
             entry = self._rid_resources.get(rid)
@@ -802,16 +798,16 @@ class LockServer:
             txn = self._live_txn(session, name)
             if txn is None:
                 return "ERR NOTXN %s" % name
-            steps: List[Tuple[tuple, LockMode]] = []
+            steps: List[PlannedLock] = []
             spec_parts: List[str] = []
             for rid, mode_code in step_codes:
-                mode = self._wire_mode(mode_code)
+                mode = self._wire_modes[mode_code]
                 if mode is None:
                     return "ERR BAD-MODE code=%d" % mode_code
                 entry = self._rid_resources.get(rid)
                 if entry is None:
                     return "ERR UNKNOWN-RESOURCE rid=%d" % rid
-                steps.append((entry[0], mode))
+                steps.append(PlannedLock(entry[0], mode))
                 spec_parts.append("%s:%s" % (entry[1], mode.value))
             nowait = bool(flags & wire.FLAG_NOWAIT)
             spec = ",".join(spec_parts)
@@ -849,7 +845,7 @@ class LockServer:
     async def _end_when_idle(self, session: _Session, name: str, txn) -> str:
         """A parked END: commit once no frame of ``name`` is parked."""
         while session.inflight.get(name):  # a later frame may park too
-            await session.idle_event(name).wait()
+            await session.idle.setdefault(name, asyncio.Event()).wait()
         return self._commit(session, name, txn)
 
     def _commit(self, session: _Session, name: str, txn) -> str:
@@ -904,14 +900,14 @@ class LockServer:
         if mode.is_intention:
             # the paper's intention chain: IS/IX on every ancestor,
             # root first, then the node itself
-            steps = [(anc, mode) for anc in ancestors(resource)]
-            steps.append((resource, mode))
+            steps = [PlannedLock(anc, mode) for anc in ancestors(resource)]
+            steps.append(PlannedLock(resource, mode))
         else:
+            # as the plan cache holds them: the lock table prunes them
             try:
-                plan = self.stack.protocol.plan_request(txn, resource, mode)
+                steps = self.stack.protocol.plan_steps(txn, resource, mode)
             except (AuthorizationError, ProtocolError) as exc:
                 return "ERR DENIED %s %s" % (name, exc)
-            steps = [(step.resource, step.mode) for step in plan]
         return self._run_steps(session, txn, name, path, steps, nowait)
 
     def _acquire_many(
@@ -920,23 +916,20 @@ class LockServer:
         txn = self._live_txn(session, name)
         if txn is None:
             return "ERR NOTXN %s" % name
-        steps: List[Tuple[tuple, LockMode]] = []
+        steps: List[PlannedLock] = []
         for item in spec.split(","):
             path, sep, mode_name = item.rpartition(":")
             if not sep:
                 return "ERR BAD-FRAME missing :mode in %s" % item
-            try:
-                mode = LockMode(mode_name.upper())
-            except ValueError:
-                return "ERR BAD-MODE %s" % mode_name
-            if not self._accepts_mode(mode):
-                # a semantic mode name against a classic stack answers
-                # exactly as the unknown-name path always has
+            # a semantic mode name against a classic stack answers
+            # exactly as an unknown name does
+            mode = self._modes.get(mode_name.upper())
+            if mode is None:
                 return "ERR BAD-MODE %s" % mode_name
             resource, err = self._parse_resource(path)
             if err is not None:
                 return err
-            steps.append((resource, mode))
+            steps.append(PlannedLock(resource, mode))
         return self._run_steps(session, txn, name, spec, steps, nowait)
 
     # -- plan execution -------------------------------------------------------
@@ -954,33 +947,33 @@ class LockServer:
         release dispatched later in the same batch cannot be missed — and
         the continuation is returned for the connection to run as a task.
         It waits out the blocked request, then submits the steps after
-        it, which may park again; a deadlock or timeout answers ERR and
-        the granted prefix stays held (the client chooses between retry
-        and END).  ``OK GRANTED`` means every step is covered or granted.
+        it (the rest of the same iterator), which may park again; a
+        deadlock or timeout answers ERR and the granted prefix stays held
+        (the client chooses between retry and END).  ``OK GRANTED`` means
+        every step is covered or granted.
         """
-        requests: List[LockRequest] = []
-        if steps:
-            try:
-                requests = self.manager.acquire_many(
-                    txn, steps, long=txn.long, wait=not nowait
-                )
-            except LockConflictError as exc:
-                return "ERR CONFLICT %s %s" % (
-                    name,
-                    "/".join(str(p) for p in exc.resource),
-                )
-            except LockTimeoutError:
-                # an injected mid-batch timeout: the prefix stays
-                # granted, the client decides between retry / END
-                self.stats["timeouts"] += 1
-                return "ERR TIMEOUT %s %s" % (name, what)
-            except FaultInjected:
-                # an injected fault (error or abort action) during the
-                # batch: abort the transaction — the universal cleaner —
-                # and report; the session entry goes too
-                self.stack.txns.kill(txn)
-                session.txns.pop(name, None)
-                return "ERR FAULT %s %s" % (name, what)
+        steps = iter(steps)
+        try:
+            requests = self.manager.acquire_many(
+                txn, steps, long=txn.long, wait=not nowait
+            )
+        except LockConflictError as exc:
+            return "ERR CONFLICT %s %s" % (
+                name,
+                "/".join(str(p) for p in exc.resource),
+            )
+        except LockTimeoutError:
+            # an injected mid-batch timeout: the prefix stays
+            # granted, the client decides between retry / END
+            self.stats["timeouts"] += 1
+            return "ERR TIMEOUT %s %s" % (name, what)
+        except FaultInjected:
+            # an injected fault (error or abort action) during the
+            # batch: abort the transaction — the universal cleaner —
+            # and report; the session entry goes too
+            self.stack.txns.kill(txn)
+            session.txns.pop(name, None)
+            return "ERR FAULT %s %s" % (name, what)
         submitted += len(requests)
         if not requests or requests[-1].granted:
             return "OK GRANTED %s %s steps=%d" % (name, what, submitted)
@@ -996,11 +989,8 @@ class LockServer:
                 )
                 if outcome is not None:
                     return outcome
-                # a covered pair is pruned and never blocks, so the
-                # first match is the step that blocked
-                at = steps.index((blocked.resource, blocked.mode)) + 1
                 response = self._run_steps(
-                    session, txn, name, what, steps[at:], nowait, submitted
+                    session, txn, name, what, steps, nowait, submitted
                 )
                 if not isinstance(response, str):
                     response = await response

@@ -15,6 +15,7 @@ from repro.errors import LockConflictError, LockError
 from repro.locking.lock_table import LockTable, RequestStatus
 from repro.locking.manager import LockManager
 from repro.locking.modes import CLASSIC_MODES, IS, IX, S, X
+from repro.protocol.base import PlannedLock as Step
 from repro.verify import check_held_index
 
 R1, R2 = ("r1",), ("r2",)
@@ -79,7 +80,10 @@ def test_held_resources_wake_in_first_grant_order(front):
 
 
 def test_uncontended_lifecycle_leaves_nothing(front):
-    plan = [(("db",), IX), (("db", "seg"), IX), (("db", "seg", "o"), X), (R1, S)]
+    plan = [
+        Step(("db",), IX), Step(("db", "seg"), IX), Step(("db", "seg", "o"), X),
+        Step(R1, S),
+    ]
     granted = front.acquire_many("t", plan)
     assert [r.status for r in granted] == [RequestStatus.GRANTED] * len(plan)
     _audit(front)
@@ -94,14 +98,14 @@ def test_conflict_mid_plan_keeps_the_granted_prefix_releasable(front):
     """A ``wait=False`` conflict raises with the plan's prefix granted;
     the abort path's ``release_all`` must find every granted lock."""
     front.acquire("o", R2, X)
-    steps = [(R1, S), (R2, S)]
+    steps = [Step(R1, S), Step(R2, S)]
     with pytest.raises(LockConflictError):
         front.acquire_many("t", steps, wait=False)
     _audit(front)
-    assert front.table.held_mode("t", steps[0][0]) is S
+    assert front.table.held_mode("t", R1) is S
     front.release_all("t")
-    assert front.table.held_mode("t", steps[0][0]) is None
-    assert front.table.holders(steps[0][0]) == {}
+    assert front.table.held_mode("t", R1) is None
+    assert front.table.holders(R1) == {}
     _audit(front)
 
 
@@ -180,7 +184,7 @@ def _apply(manager, op, waiting):
         if kind == "request":
             waiting.append(manager.acquire(txn, resource, mode, long=flag, wait=wait))
         elif kind == "request_many":
-            plan = [(RESOURCES[r], CLASSIC_MODES[m]) for r, m in steps]
+            plan = [Step(RESOURCES[r], CLASSIC_MODES[m]) for r, m in steps]
             waiting.extend(manager.acquire_many(txn, plan, long=flag, wait=wait))
         elif kind == "regrant":
             held = manager.held_mode(txn, resource)

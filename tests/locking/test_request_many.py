@@ -12,13 +12,14 @@ import pytest
 from repro.errors import LockConflictError
 from repro.locking.lock_table import LockTable, RequestStatus
 from repro.locking.modes import IS, IX, S, SIX, X
+from repro.protocol.base import PlannedLock as Step
 
 R = ("db1", "seg1", "cells", "c1")
 PLAN = [
-    (("db1",), IX),
-    (("db1", "seg1"), IX),
-    (("db1", "seg1", "cells"), IX),
-    (R, X),
+    Step(("db1",), IX),
+    Step(("db1", "seg1"), IX),
+    Step(("db1", "seg1", "cells"), IX),
+    Step(R, X),
 ]
 
 
@@ -40,7 +41,7 @@ def counters(table):
 class TestBatchedGrants:
     def test_whole_plan_granted_in_order(self, table):
         granted = table.request_many("t1", PLAN)
-        assert [req.resource for req in granted] == [res for res, _ in PLAN]
+        assert [req.resource for req in granted] == [step.resource for step in PLAN]
         assert all(req.granted for req in granted)
         assert table.held_mode("t1", R) is X
 
@@ -53,11 +54,11 @@ class TestBatchedGrants:
 
     def test_weaker_covered_mode_pruned(self, table):
         table.request("t1", R, X)
-        assert table.request_many("t1", [(R, S)]) == []
+        assert table.request_many("t1", [Step(R, S)]) == []
 
     def test_uncovered_conversion_submitted(self, table):
         table.request("t1", R, IX)
-        granted = table.request_many("t1", [(R, S)])
+        granted = table.request_many("t1", [Step(R, S)])
         assert len(granted) == 1 and granted[0].granted
         assert table.held_mode("t1", R) is SIX
 
@@ -93,9 +94,9 @@ class TestSequentialEquivalence:
 
     SCRIPTS = [
         # (txn, steps) issued in order; earlier txns may block later ones
-        [("t1", PLAN), ("t1", PLAN), ("t1", [(R, S)])],
-        [("t1", [(R, S)]), ("t2", [(R, S)]), ("t3", PLAN)],
-        [("t1", [(R, IX)]), ("t1", [(R, S)]), ("t2", [(R, IS)])],
+        [("t1", PLAN), ("t1", PLAN), ("t1", [Step(R, S)])],
+        [("t1", [Step(R, S)]), ("t2", [Step(R, S)]), ("t3", PLAN)],
+        [("t1", [Step(R, IX)]), ("t1", [Step(R, S)]), ("t2", [Step(R, IS)])],
     ]
 
     @pytest.mark.parametrize("script", SCRIPTS)
@@ -103,16 +104,16 @@ class TestSequentialEquivalence:
         sequential = LockTable()
         batched = LockTable()
         for txn, steps in script:
-            for resource, mode in steps:
-                if not sequential.holds_at_least(txn, resource, mode):
-                    sequential.request(txn, resource, mode)
+            for step in steps:
+                if not sequential.holds_at_least(txn, step.resource, step.mode):
+                    sequential.request(txn, step.resource, step.mode)
             batched.request_many(txn, steps)
         assert counters(sequential) == counters(batched)
         for txn, steps in script:
-            for resource, _ in steps:
-                assert sequential.held_mode(txn, resource) == batched.held_mode(
-                    txn, resource
-                )
+            for step in steps:
+                assert sequential.held_mode(
+                    txn, step.resource
+                ) == batched.held_mode(txn, step.resource)
         assert sequential.lock_count() == batched.lock_count()
         assert sequential.waits_for_edges() == batched.waits_for_edges()
 
@@ -128,7 +129,7 @@ class TestHeldModeSummaryFreshness:
         assert table.held_mode("t1", R) is None
         # a fresh batched acquire must re-request, not prune
         before = table.requests
-        granted = table.request_many("t1", [(R, S)])
+        granted = table.request_many("t1", [Step(R, S)])
         assert len(granted) == 1
         assert table.requests == before + 1
 
@@ -137,7 +138,7 @@ class TestHeldModeSummaryFreshness:
         table.request("t1", R, S)
         table.release("t1", R)
         assert table.held_mode("t1", R) is S
-        assert table.request_many("t1", [(R, S)]) == []  # still covered
+        assert table.request_many("t1", [Step(R, S)]) == []  # still covered
 
     def test_release_shrinks_supremum_in_summary(self, table):
         table.request("t1", R, IX)
@@ -146,7 +147,7 @@ class TestHeldModeSummaryFreshness:
         table.release("t1", R)  # pops the S grant; supremum back to IX
         assert table.held_mode("t1", R) is IX
         # batched pruning must NOT trust the stale SIX: S is re-requested
-        granted = table.request_many("t1", [(R, S)])
+        granted = table.request_many("t1", [Step(R, S)])
         assert len(granted) == 1 and granted[0].granted
         assert table.held_mode("t1", R) is SIX
 
@@ -164,7 +165,7 @@ class TestHeldModeSummaryFreshness:
         table.release_all("t1", keep_long=True)
         assert table.held_mode("t1", R) is X
         assert table.held_mode("t1", R[:3]) is None
-        assert table.request_many("t1", [(R, S)]) == []  # long X covers
+        assert table.request_many("t1", [Step(R, S)]) == []  # long X covers
 
     def test_interleaved_release_reacquire_cycles(self, table):
         for _ in range(3):
@@ -177,12 +178,12 @@ class TestHeldModeSummaryFreshness:
 
     def test_woken_waiter_lands_in_summary(self, table):
         table.request("t1", R, X)
-        pending = table.request_many("t2", [(R, S)])[-1]
+        pending = table.request_many("t2", [Step(R, S)])[-1]
         assert pending.status == RequestStatus.WAITING
         table.release("t1", R)
         assert pending.granted
         assert table.held_mode("t2", R) is S
-        assert table.request_many("t2", [(R, S)]) == []
+        assert table.request_many("t2", [Step(R, S)]) == []
 
     def test_woken_conversion_lands_in_summary(self, table):
         table.request("t1", R, S)
@@ -190,7 +191,7 @@ class TestHeldModeSummaryFreshness:
         table.request("t1", R, X)  # conversion waits on t2
         table.release("t2", R)
         assert table.held_mode("t1", R) is X
-        assert table.request_many("t1", [(R, X)]) == []
+        assert table.request_many("t1", [Step(R, X)]) == []
 
 
 class TestSummaryRefetch:
@@ -233,8 +234,8 @@ class TestVictimAbortDuringBatch:
         table.cancel(granted[-1])
         assert table.waiting_requests_of("t1") == []
         table.release_all("t1")
-        for resource, _ in PLAN:
-            assert table.held_mode("t1", resource) is None
+        for step in PLAN:
+            assert table.held_mode("t1", step.resource) is None
         assert table._txn_modes.get("t1") is None
         assert table.lock_count() == 1  # only t2's S survives
         assert not table.waits_for_edges()
@@ -253,8 +254,8 @@ class TestVictimAbortDuringBatch:
         a, b = ("obj", "a"), ("obj", "b")
         manager.acquire("t1", a, X)
         manager.acquire("t2", b, X)
-        waiting1 = manager.acquire_many("t1", [(b, X)], wait=True)[-1]
-        waiting2 = manager.acquire_many("t2", [(a, X)], wait=True)[-1]
+        waiting1 = manager.acquire_many("t1", [Step(b, X)], wait=True)[-1]
+        waiting2 = manager.acquire_many("t2", [Step(a, X)], wait=True)[-1]
         assert not waiting1.granted and not waiting2.granted
         cycle = manager.detect_deadlock()
         assert cycle is not None
@@ -278,13 +279,13 @@ class TestCancelDuringBatch:
     def test_interleaved_cancel_keeps_grants_correct(self, table):
         """After the second submitted step a foreign waiter appears and
         is cancelled; every step of the batch is still granted and held."""
-        table.request("t1", PLAN[0][0], IX)
+        table.request("t1", PLAN[0].resource, IX)
         table.request("t3", ("other",), X)
         original = table._submit
 
         def submit_with_interleaved_cancel(entry, txn, resource, mode, long, wait):
             request = original(entry, txn, resource, mode, long, wait)
-            if resource == PLAN[1][0]:
+            if resource == PLAN[1].resource:
                 foreign = table.request("t2", ("other",), S)
                 assert foreign.status is RequestStatus.WAITING
                 table.cancel(foreign)
@@ -296,5 +297,5 @@ class TestCancelDuringBatch:
         finally:
             table._submit = original
         assert all(request.granted for request in granted)
-        for resource, mode in PLAN:
-            assert table.holds_at_least("t1", resource, mode)
+        for step in PLAN:
+            assert table.holds_at_least("t1", step.resource, step.mode)

@@ -9,9 +9,15 @@ clean and the lock table leaks no held lock, waiter or summary entry.
 """
 
 import asyncio
+import socket
+import struct
+import time
+
+import pytest
 
 from repro.faults.injector import FaultInjector
 from repro.faults.plan import FaultPlan, FaultSpec
+from repro.locking.modes import X
 from repro.service.client import ServiceClient
 from repro.service.server import LockServer, make_service_stack
 from repro.verify import audit
@@ -29,6 +35,11 @@ def assert_no_leaks(server):
     assert not table._txn_waiting, "leaked a waiter index"
     assert not table.waiting_requests(), "leaked queued requests"
     assert not server._futures, "server leaked parked futures"
+
+
+async def parked_frame(server):
+    while not server._futures:
+        await asyncio.sleep(0.005)
 
 
 def arm(server, *specs):
@@ -127,10 +138,11 @@ class TestMidFrameDisconnect:
 class TestParkedTextDisconnect:
     def test_parked_frame_settles_before_the_kill(self, monkeypatch, connections):
         """A text client's SLOCK parks behind h's XLOCK, and the client
-        disconnects.  A parked text frame pauses reading, so the server
-        sees the disconnect only once h's END has granted the frame: the
-        frame settles first, then the session's transaction is killed
-        holding what it was granted, and nothing is left behind."""
+        closes cleanly.  The server keeps reading while the frame is
+        parked, but a clean EOF leaves the connection half-open: the
+        frame settles first, once h's END has granted it, then the
+        session's transaction is killed holding what it was granted, and
+        nothing is left behind."""
 
         async def go():
             server = LockServer(make_service_stack("partlib"), port=0)
@@ -151,11 +163,12 @@ class TestParkedTextDisconnect:
             parked = asyncio.create_task(client.lock("SLOCK", "t", M1))
             while not server._futures:
                 await asyncio.sleep(0.005)
-            assert not connections[1].transport.is_reading()
+            # the read side stays watched, so a reset would be seen
+            assert connections[1].transport.is_reading()
             parked.cancel()
             await client.close()
             await asyncio.sleep(0.05)
-            assert kills == []  # still parked: the disconnect is unread
+            assert kills == []  # still parked: the EOF waits for it
             assert await holder.end("h") == "OK ENDED h"
             for _ in range(100):
                 if kills and not server.stack.txns.active:
@@ -172,6 +185,50 @@ class TestParkedTextDisconnect:
                 asyncio.current_task(),
                 server._detector_task,
             }
+            await server.stop()
+
+        asyncio.run(go())
+
+
+class TestParkedReset:
+    @pytest.mark.parametrize("binary", [False, True], ids=["text", "binary"])
+    def test_reset_kills_the_parked_transaction_at_once(self, binary):
+        """A client whose connection resets (SO_LINGER 0) while its SLOCK
+        is parked behind h's XLOCK: its transaction is killed well inside
+        ``lock_timeout`` instead of holding its locks until the frame
+        times out, and h keeps its lock."""
+
+        async def go():
+            server = LockServer(
+                make_service_stack("partlib"), port=0, lock_timeout=5
+            )
+            host, port = await server.start()
+            holder = await ServiceClient(host, port).connect()
+            assert (await holder.start("h")).startswith("OK")
+            assert (await holder.xlock("h", M1)).startswith("OK GRANTED")
+            client = await ServiceClient(host, port, binary=binary).connect()
+            assert (await client.start("t")).startswith("OK")
+            (txn,) = [t for t in server.stack.txns.active if t.name == "t"]
+            parked = asyncio.ensure_future(client.slock("t", M1))
+            await asyncio.wait_for(parked_frame(server), 2.0)
+            sock = client._writer.get_extra_info("socket")
+            sock.setsockopt(
+                socket.SOL_SOCKET, socket.SO_LINGER, struct.pack("ii", 1, 0)
+            )
+            reset_at = time.monotonic()
+            client._writer.transport.abort()
+            while txn in server.stack.txns.active:
+                assert time.monotonic() - reset_at < 1.0, "still alive"
+                await asyncio.sleep(0.01)
+            parked.cancel()
+            await asyncio.gather(parked, return_exceptions=True)
+            await client.close()
+            h = next(t for t in server.stack.txns.active if t.name == "h")
+            assert server.manager.locks_of(h)[tuple(M1.split("/"))] is X
+            assert await holder.end("h") == "OK ENDED h"
+            await holder.close()
+            await asyncio.sleep(0.05)
+            assert_no_leaks(server)
             await server.stop()
 
         asyncio.run(go())
