@@ -113,9 +113,6 @@ class ObjectSpecificLockGraph:
                 % (self.relation_name, format_path(key))
             )
 
-    def has_node_at(self, path) -> bool:
-        return tuple(path) in self._by_path
-
     def iter_nodes(self) -> Iterator[ObjectGraphNode]:
         """All nodes, pre-order, starting at the database node."""
         stack = [self.database_node]

@@ -18,6 +18,16 @@ Counting conventions (used by the benchmarks):
 * ``max_entries`` — high-water mark of lock-table size (the paper's
   "administration of locks" overhead).
 
+The table is also the one source of lock events.  An attached ``sink``
+(a :class:`~repro.locking.trace.LockTrace`) hears each public call —
+``request``, every step ``request_many`` submits, ``release``,
+``release_all`` and ``cancel`` — as one ``sink.record(action, txn,
+resource, mode, outcome)``, followed by a ``grant ... woken`` event for
+each request the call woke.  A request or release that raises (a refused
+``wait=False`` request, an injected fault, a release of nothing held) is
+recorded as ``DENIED:<ExceptionName>`` before the exception propagates.
+Untraced, the cost is one ``sink is None`` test per call.
+
 The uncontended lifecycle is one step per layer.  A request for a
 resource nobody holds or waits on builds its entry already granted
 (:meth:`LockTable._submit`); EOT release (rule 5, :meth:`LockTable.
@@ -53,6 +63,21 @@ class RequestStatus:
 
 #: ``RequestStatus.GRANTED``, for the hot loops' identity tests
 GRANTED = RequestStatus.GRANTED
+
+
+def _outcome(request: "LockRequest") -> str:
+    return "granted" if request.status is GRANTED else "WAIT"
+
+
+def _denied(exc: Exception) -> str:
+    return "DENIED:%s" % type(exc).__name__
+
+
+def _record_woken(sink, woken: List["LockRequest"]):
+    for request in woken:
+        sink.record(
+            "grant", request.txn, request.resource, request.target_mode, "woken"
+        )
 
 
 class LockRequest:
@@ -181,6 +206,9 @@ class LockTable:
         #: corresponding state change, so an injected raise leaves the
         #: table untouched (fail-fast placement)
         self.fault_injector = None
+        #: optional event sink (``record(action, txn, resource, mode,
+        #: outcome)``, see the module docstring); set by ``LockTrace.attach``
+        self.sink = None
         self._entries: Dict[object, _ResourceEntry] = {}
         #: per-transaction held-mode summary: txn -> {resource: effective
         #: mode}.  Mirrors ``entry.granted[txn].mode`` and is maintained at
@@ -299,9 +327,17 @@ class LockTable:
         :class:`LockConflictError` instead of queueing.
         """
         self.requests += 1
-        return self._submit(
-            self._entries.get(resource), txn, resource, mode, long, wait
-        )
+        try:
+            request = self._submit(
+                self._entries.get(resource), txn, resource, mode, long, wait
+            )
+        except Exception as exc:
+            if self.sink is not None:
+                self.sink.record("acquire", txn, resource, mode, _denied(exc))
+            raise
+        if self.sink is not None:
+            self.sink.record("acquire", txn, resource, mode, _outcome(request))
+        return request
 
     def request_many(
         self, txn, steps, long: bool = False, wait: bool = True
@@ -333,6 +369,7 @@ class LockTable:
         # transaction that held nothing re-fetches it, once, after the
         # first grant created it (counted in ``summary_rebuilds``).
         modes = self._txn_modes.get(txn)
+        sink = self.sink
         for step in steps:
             resource, mode = step.resource, step.mode
             if modes is not None:
@@ -340,9 +377,16 @@ class LockTable:
                 if held_mode is not None and covers(held_mode, mode):
                     continue  # already satisfied: pruned, not re-requested
             self.requests += 1
-            request = self._submit(
-                entries.get(resource), txn, resource, mode, long, wait
-            )
+            try:
+                request = self._submit(
+                    entries.get(resource), txn, resource, mode, long, wait
+                )
+            except Exception as exc:
+                if sink is not None:
+                    sink.record("acquire", txn, resource, mode, _denied(exc))
+                raise
+            if sink is not None:
+                sink.record("acquire", txn, resource, mode, _outcome(request))
             out.append(request)
             if request.status is not GRANTED:
                 break
@@ -428,11 +472,18 @@ class LockTable:
         release it twice (or use :meth:`release_all`).  Returns the list of
         requests that became granted as a consequence.
         """
-        if self.fault_injector is not None:
-            self.fault_injector.fire("lock.release", txn=txn, resource=resource)
-        entry = self._entries.get(resource)
-        if entry is None or txn not in entry.granted:
-            raise LockError("%r holds no lock on %r" % (txn, resource))
+        try:
+            if self.fault_injector is not None:
+                self.fault_injector.fire(
+                    "lock.release", txn=txn, resource=resource
+                )
+            entry = self._entries.get(resource)
+            if entry is None or txn not in entry.granted:
+                raise LockError("%r holds no lock on %r" % (txn, resource))
+        except Exception as exc:
+            if self.sink is not None:
+                self.sink.record("release", txn, resource, None, _denied(exc))
+            raise
         held = entry.granted[txn]
         if len(held.modes) == 1:
             self._drop_grant(entry, txn, resource, held)
@@ -447,6 +498,9 @@ class LockTable:
         self._touch(entry)
         woken = self._process_queue(entry)
         self._drop_if_empty(resource, entry)
+        if self.sink is not None:
+            self.sink.record("release", txn, resource)
+            _record_woken(self.sink, woken)
         return woken
 
     def release_all(self, txn, keep_long: bool = False) -> List[LockRequest]:
@@ -492,23 +546,31 @@ class LockTable:
                 del entries[resource]
         if not keep_long:
             self._txn_modes.pop(txn, None)
+        if self.sink is not None:
+            self.sink.record("release_all", txn, None)
+            _record_woken(self.sink, woken)
         return woken
 
     def cancel(self, request: LockRequest) -> List[LockRequest]:
         """Withdraw a waiting request (deadlock victim / timeout)."""
+        woken: List[LockRequest] = []
         entry = self._entries.get(request.resource)
-        if entry is None:
-            return []
-        for queue in (entry.conversions, entry.queue):
-            try:
-                queue.remove(request)
-                request.status = RequestStatus.CANCELLED
-                self._dequeue_wait(request)
-                self._touch(entry)
-            except ValueError:
-                pass
-        woken = self._process_queue(entry)
-        self._drop_if_empty(request.resource, entry)
+        if entry is not None:
+            for queue in (entry.conversions, entry.queue):
+                try:
+                    queue.remove(request)
+                    request.status = RequestStatus.CANCELLED
+                    self._dequeue_wait(request)
+                    self._touch(entry)
+                except ValueError:
+                    pass
+            woken = self._process_queue(entry)
+            self._drop_if_empty(request.resource, entry)
+        if self.sink is not None:
+            self.sink.record(
+                "cancel", request.txn, request.resource, request.mode
+            )
+            _record_woken(self.sink, woken)
         return woken
 
     # -- persistence of long locks (workstation-server, section 3.1) --------

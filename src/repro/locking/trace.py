@@ -7,14 +7,22 @@ request, grant, wait, wake, release and cancellation so tests, examples
 and the CLI can render exactly such narratives — and so concurrency bugs
 leave evidence.
 
-Attach with ``trace = LockTrace.attach(manager)``; detach restores the
-undecorated methods.  The trace object is also a context manager::
+The trace runs no lock code of its own: it is a passive sink on the
+manager's lock table, which reports each public call as it executes it
+(see :mod:`repro.locking.lock_table`).  A batched ``acquire_many`` is
+recorded step by step as the table's one pass grants it, covered steps
+pruned; a request that comes straight to the table (not through the
+manager) is recorded too.
+
+Attach with ``trace = LockTrace.attach(manager)``; ``detach`` puts back
+the sink the trace replaced, so nested traces unwind in order.  The trace
+object is also a context manager::
 
     with LockTrace.attach(manager) as trace:
-        ...  # traced calls may raise; the wrappers still come off
+        ...  # traced calls may raise; the trace still detaches
 
-Calls that raise inside the manager (``wait=False`` conflicts, cancelled
-victims) are recorded with a ``DENIED:<ExceptionName>`` outcome before the
+Calls the table refuses by raising (``wait=False`` conflicts, injected
+faults) are recorded with a ``DENIED:<ExceptionName>`` outcome before the
 exception propagates, so a failed request leaves evidence too.
 """
 
@@ -50,117 +58,30 @@ class TraceEvent:
 
 
 class LockTrace:
-    """Event recorder wrapping a :class:`~repro.locking.manager.LockManager`."""
+    """Event recorder: the sink of a manager's
+    :class:`~repro.locking.lock_table.LockTable`."""
 
     def __init__(self):
         self.events: List[TraceEvent] = []
         self._seq = itertools.count(1)
         self._manager = None
-        self._originals = {}
-        self._prior = {}
+        #: the sink this trace replaced, restored by ``detach``
+        self._outer = None
 
     # -- attachment -------------------------------------------------------------
-
-    _MISSING = object()
 
     @classmethod
     def attach(cls, manager) -> "LockTrace":
         trace = cls()
         trace._manager = manager
-        trace._originals = {
-            "acquire": manager.acquire,
-            "acquire_many": manager.acquire_many,
-            "release": manager.release,
-            "release_all": manager.release_all,
-            "cancel": manager.cancel,
-        }
-        # What ``manager.__dict__`` carried *before* we shadowed it: detach
-        # restores exactly this state, so nested attaches unwind correctly
-        # (a plain delattr would strip an outer trace's wrapper as well).
-        trace._prior = {
-            name: manager.__dict__.get(name, cls._MISSING)
-            for name in trace._originals
-        }
-
-        def acquire(txn, resource, mode, long=False, wait=True):
-            try:
-                request = trace._originals["acquire"](
-                    txn, resource, mode, long=long, wait=wait
-                )
-            except Exception as exc:
-                trace._record(
-                    "acquire", txn, resource, mode,
-                    "DENIED:%s" % type(exc).__name__,
-                )
-                raise
-            trace._record(
-                "acquire", txn, resource, mode,
-                "granted" if request.granted else "WAIT",
-            )
-            return request
-
-        def acquire_many(txn, steps, long=False, wait=True):
-            # Replay the plan through the traced per-step path with the
-            # same covered-pair pruning the batched table pass applies:
-            # the narrative is event-for-event identical to sequential
-            # acquisition, which is exactly what the differential harness
-            # asserts.  Traced runs are correctness runs; they don't need
-            # the batched fast path.
-            table = manager.table
-            out = []
-            for step in steps:
-                if table.holds_at_least(txn, step.resource, step.mode):
-                    continue
-                request = acquire(txn, step.resource, step.mode, long=long, wait=wait)
-                out.append(request)
-                if not request.granted:
-                    break
-            return out
-
-        def release(txn, resource):
-            try:
-                woken = trace._originals["release"](txn, resource)
-            except Exception as exc:
-                trace._record(
-                    "release", txn, resource, None,
-                    "DENIED:%s" % type(exc).__name__,
-                )
-                raise
-            trace._record("release", txn, resource)
-            trace._record_woken(woken)
-            return woken
-
-        def release_all(txn, keep_long=False):
-            woken = trace._originals["release_all"](txn, keep_long=keep_long)
-            trace._record("release_all", txn, None)
-            trace._record_woken(woken)
-            return woken
-
-        def cancel(request):
-            woken = trace._originals["cancel"](request)
-            trace._record("cancel", request.txn, request.resource, request.mode)
-            trace._record_woken(woken)
-            return woken
-
-        manager.acquire = acquire
-        manager.acquire_many = acquire_many
-        manager.release = release
-        manager.release_all = release_all
-        manager.cancel = cancel
+        trace._outer = manager.table.sink
+        manager.table.sink = trace
         return trace
 
     def detach(self):
         if self._manager is None:
             return
-        for name, prior in self._prior.items():
-            if prior is self._MISSING:
-                # the name was found via class lookup before attach
-                try:
-                    delattr(self._manager, name)
-                except AttributeError:
-                    pass
-            else:
-                setattr(self._manager, name, prior)
+        self._manager.table.sink = self._outer
         self._manager = None
 
     def __enter__(self) -> "LockTrace":
@@ -170,19 +91,11 @@ class LockTrace:
         self.detach()
         return False
 
-    # -- recording -----------------------------------------------------------------
-
-    def _record(self, action, txn, resource, mode=None, outcome=None):
+    def record(self, action, txn, resource, mode=None, outcome=None):
+        """One event, as the lock table reports it."""
         self.events.append(
             TraceEvent(next(self._seq), action, txn, resource, mode, outcome)
         )
-
-    def _record_woken(self, woken):
-        for request in woken:
-            self._record(
-                "grant", request.txn, request.resource, request.target_mode,
-                "woken",
-            )
 
     # -- queries ---------------------------------------------------------------------
 

@@ -201,12 +201,6 @@ class ReferenceIndex:
         """Objects whose tree references ``ref``'s target (reverse edge)."""
         return list(self._referencing.get((ref.relation, ref.surrogate), ()))
 
-    def reference_count(self, ref: Reference) -> int:
-        """Total reference occurrences pointing at ``ref``'s target."""
-        return sum(
-            self._referencing.get((ref.relation, ref.surrogate), {}).values()
-        )
-
     def entry_points_below(
         self, resource: Tuple, transitive: bool = True
     ) -> List[Tuple]:

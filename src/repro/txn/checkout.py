@@ -250,12 +250,14 @@ class CheckoutManager:
                 self.txn_manager.abort(txn)
         with open(path) as handle:
             payload = json.load(handle)
-        self.protocol.manager.table = LockTable()
-        self.protocol.manager.detector._lock_table = self.protocol.manager.table
+        manager = self.protocol.manager
+        table = LockTable()
+        table.sink = manager.table.sink  # an attached trace keeps recording
+        manager.table = manager.detector._lock_table = table
         by_name = {record.txn.name: record.txn for record in self._records.values()}
         for name, resource, mode in payload:
             owner = by_name.get(name, name)
-            self.protocol.manager.table.request(
+            table.request(
                 owner, tuple(resource), LockMode(mode), long=True, wait=False
             )
         self.persisted_locks = [tuple(entry) for entry in payload]

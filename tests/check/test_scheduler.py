@@ -120,10 +120,9 @@ class TestScheduleRun:
         run = fresh("from-the-side")
         manager = run.manager
         run.run()
+        assert manager.table.sink is run.trace
         run.close()
-        # the trace wrapper shadows acquire in the instance dict; detach
-        # restores class lookup
-        assert "acquire" not in manager.__dict__
+        assert manager.table.sink is None
 
 
 class TestIndependence:

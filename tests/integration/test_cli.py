@@ -76,7 +76,39 @@ class TestSweep:
         assert len(out.strip().splitlines()) == 4  # header + 3 settings
 
 
+#: ``python -m repro trace``: Q2 and Q3 of section 4.4.2.2 lock in
+#: sequence, then commit (rule 5)
+TRACE_NARRATIVE = [
+    "#001 acquire txn=Transaction(Q2, committed) db1 IX -> granted",
+    "#002 acquire txn=Transaction(Q2, committed) db1/seg1 IX -> granted",
+    "#003 acquire txn=Transaction(Q2, committed) db1/seg1/cells IX -> granted",
+    "#004 acquire txn=Transaction(Q2, committed) db1/seg1/cells/c1 IX -> granted",
+    "#005 acquire txn=Transaction(Q2, committed) db1/seg1/cells/c1/robots IX -> granted",
+    "#006 acquire txn=Transaction(Q2, committed) db1/seg2 IS -> granted",
+    "#007 acquire txn=Transaction(Q2, committed) db1/seg2/effectors IS -> granted",
+    "#008 acquire txn=Transaction(Q2, committed) db1/seg2/effectors/e1 S -> granted",
+    "#009 acquire txn=Transaction(Q2, committed) db1/seg2/effectors/e2 S -> granted",
+    "#010 acquire txn=Transaction(Q2, committed) db1/seg1/cells/c1/robots/r1 X -> granted",
+    "#011 acquire txn=Transaction(Q3, committed) db1 IX -> granted",
+    "#012 acquire txn=Transaction(Q3, committed) db1/seg1 IX -> granted",
+    "#013 acquire txn=Transaction(Q3, committed) db1/seg1/cells IX -> granted",
+    "#014 acquire txn=Transaction(Q3, committed) db1/seg1/cells/c1 IX -> granted",
+    "#015 acquire txn=Transaction(Q3, committed) db1/seg1/cells/c1/robots IX -> granted",
+    "#016 acquire txn=Transaction(Q3, committed) db1/seg2 IS -> granted",
+    "#017 acquire txn=Transaction(Q3, committed) db1/seg2/effectors IS -> granted",
+    "#018 acquire txn=Transaction(Q3, committed) db1/seg2/effectors/e2 S -> granted",
+    "#019 acquire txn=Transaction(Q3, committed) db1/seg2/effectors/e3 S -> granted",
+    "#020 acquire txn=Transaction(Q3, committed) db1/seg1/cells/c1/robots/r2 X -> granted",
+    "#021 release_all txn=Transaction(Q2, committed)",
+    "#022 release_all txn=Transaction(Q3, committed)",
+]
+
+
 class TestTrace:
+    def test_narrative_pinned_verbatim(self, capsys):
+        assert main(["trace"]) == 0
+        assert capsys.readouterr().out == "\n".join(TRACE_NARRATIVE) + "\n"
+
     def test_narrative_printed(self, capsys):
         assert main(["trace"]) == 0
         out = capsys.readouterr().out

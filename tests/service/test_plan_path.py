@@ -6,6 +6,8 @@ import asyncio
 
 import pytest
 
+from repro.locking.modes import X
+from repro.locking.trace import LockTrace
 from repro.service.client import ServiceClient
 from repro.service.server import LockServer, make_service_stack
 from tests.service.test_service_faults import assert_no_leaks, parked_frame
@@ -65,6 +67,28 @@ def test_served_plans_are_never_filtered(monkeypatch, binary):
     asyncio.run(go())
 
 
+async def park_then_cover(server, host, port):
+    """t's XLOCK on a1 parked at X p1 behind h's S, then a pipelined XLOCK
+    of t on m1, which takes the later steps of the parked plan.  Returns
+    (holder, client, the parked XLOCK's answer)."""
+    holder = await ServiceClient(host, port).connect()
+    assert (await holder.start("h")).startswith("OK")
+    assert (
+        await holder.acquire_many(
+            "h",
+            [("db1", "IS"), ("db1/seg_parts", "IS"), (PARTS, "IS"), (P1, "S")],
+        )
+    ).startswith("OK GRANTED")
+    client = await ServiceClient(host, port, binary=True, pipeline_depth=8).connect()
+    assert (await client.start("t")).startswith("OK")
+    waiting = await client.submit_lock("XLOCK", "t", A1)
+    await client.flush()
+    await asyncio.wait_for(parked_frame(server), 2.0)
+    # db1 is held already: seg_materials, materials and m1 are new
+    assert await client.xlock("t", M1) == "OK GRANTED t %s steps=3" % M1
+    return holder, client, waiting
+
+
 def test_resumed_plan_prunes_steps_covered_while_parked(monkeypatch):
     """t's XLOCK on a1 parks at X p1 behind h.  A pipelined XLOCK of the
     same transaction then takes m1 and its intention path, the later
@@ -74,24 +98,8 @@ def test_resumed_plan_prunes_steps_covered_while_parked(monkeypatch):
 
     async def go():
         server = serve(monkeypatch)
-        host, port = await server.start()
-        holder = await ServiceClient(host, port).connect()
-        assert (await holder.start("h")).startswith("OK")
-        assert (
-            await holder.acquire_many(
-                "h",
-                [("db1", "IS"), ("db1/seg_parts", "IS"), (PARTS, "IS"), (P1, "S")],
-            )
-        ).startswith("OK GRANTED")
-        client = await ServiceClient(
-            host, port, binary=True, pipeline_depth=8
-        ).connect()
-        assert (await client.start("t")).startswith("OK")
-        waiting = await client.submit_lock("XLOCK", "t", A1)
-        await client.flush()
-        await asyncio.wait_for(parked_frame(server), 2.0)
-        # db1 is held already: seg_materials, materials and m1 are new
-        assert await client.xlock("t", M1) == "OK GRANTED t %s steps=3" % M1
+        address = await server.start()
+        holder, client, waiting = await park_then_cover(server, *address)
         table = server.manager.table
         before = table.requests
         assert await holder.end("h") == "OK ENDED h"
@@ -101,6 +109,36 @@ def test_resumed_plan_prunes_steps_covered_while_parked(monkeypatch):
         m1 = tuple(M1.split("/"))
         assert await client.unlock("t", M1) == "OK RELEASED t %s" % M1
         assert server.manager.held_mode(txn, m1) is None
+        assert (await client.end("t")).startswith("OK")
+        await client.close()
+        await holder.close()
+        assert_no_leaks(server)
+        await server.stop()
+
+    asyncio.run(go())
+
+
+def test_traced_resume_records_the_table_pass(monkeypatch):
+    """The same scenario under a ``LockTrace``: the trace hears the
+    table's own pass, so the resume records the woken X on p1 and exactly
+    one request, the X on a1 — nothing on the m1 path."""
+
+    async def go():
+        server = serve(monkeypatch)
+        address = await server.start()
+        with LockTrace.attach(server.manager) as trace:
+            holder, client, waiting = await park_then_cover(server, *address)
+            mark = len(trace)
+            assert await holder.end("h") == "OK ENDED h"
+            assert await waiting == "OK GRANTED t %s steps=7" % A1
+        assert [
+            (e.action, e.txn.name, e.resource, e.mode, e.outcome)
+            for e in trace.events[mark:]
+        ] == [
+            ("release_all", "h", None, None, None),
+            ("grant", "t", tuple(P1.split("/")), X, "woken"),
+            ("acquire", "t", tuple(A1.split("/")), X, "granted"),
+        ]
         assert (await client.end("t")).startswith("OK")
         await client.close()
         await holder.close()

@@ -121,14 +121,27 @@ class TestLockTrace:
         trace.detach()
 
     def test_detach_restores_methods(self, figure7_stack):
-        from repro.locking.manager import LockManager
-
         stack = figure7_stack
         trace = LockTrace.attach(stack.manager)
-        assert "acquire" in stack.manager.__dict__  # wrapper installed
+        assert stack.manager.table.sink is trace
         trace.detach()
-        assert "acquire" not in stack.manager.__dict__  # class method again
-        assert stack.manager.acquire.__func__ is LockManager.acquire
+        assert stack.manager.table.sink is None
+        trace.detach()  # idempotent
+        assert stack.manager.table.sink is None
+
+    def test_restart_is_recorded_on_the_new_table(self, figure7_stack, ws, tmp_path):
+        stack = figure7_stack
+        stack.checkout.check_out(ws, "cells", "c1")
+        path = tmp_path / "locks.json"
+        written = stack.checkout.persist_to_file(path)
+        with LockTrace.attach(stack.manager) as trace:
+            stack.checkout.restart_from_file(path)
+            assert stack.manager.table.sink is trace
+        # every long lock restored straight into the new table is an event
+        restored = [e for e in trace.events if e.action == "acquire"]
+        assert len(restored) == written
+        assert all(e.outcome == "granted" for e in restored)
+        assert stack.manager.table.sink is None
 
     def test_for_txn_filter_and_clear(self, figure7_stack):
         stack = figure7_stack
